@@ -674,8 +674,9 @@ int RecoverMode(const Config& cfg) {
   }
 
   // The channel is already closed, so Start() + Stop() drives the normal
-  // FinalDrain: every epoch in [bootstrapped_at, store.next_epoch()) is
-  // fetched from disk and replayed through the regular two-stage loop.
+  // closed-channel gap pass: every epoch in [bootstrapped_at,
+  // store.next_epoch()) is fetched from disk and replayed through the
+  // regular two-stage loop.
   backup->SetEpochSource(&source);
   if (!backup->Start().ok()) return 2;
   backup->Stop();

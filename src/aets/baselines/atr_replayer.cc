@@ -3,6 +3,7 @@
 #include "aets/common/backoff.h"
 #include "aets/common/macros.h"
 #include "aets/log/codec.h"
+#include "aets/log/framing.h"
 #include "aets/obs/trace.h"
 
 namespace aets {
@@ -26,18 +27,6 @@ Status AtrReplayer::StartWorkers() {
 
 void AtrReplayer::StopWorkers() { pool_.reset(); }
 
-Timestamp AtrReplayer::TableVisibleTs(TableId) const {
-  return watermark_.load(std::memory_order_acquire);
-}
-
-Timestamp AtrReplayer::GlobalVisibleTs() const {
-  return watermark_.load(std::memory_order_acquire);
-}
-
-void AtrReplayer::ProcessHeartbeat(const ShippedEpoch& epoch) {
-  StoreMaxTimestamp(watermark_, epoch.heartbeat_ts);
-}
-
 std::unique_ptr<ReplayerBase::PreparedEpoch> AtrReplayer::PrepareEpoch(
     const ShippedEpoch& epoch) {
   AETS_TRACE_SPAN("replay.prepare");
@@ -49,37 +38,19 @@ std::unique_ptr<ReplayerBase::PreparedEpoch> AtrReplayer::PrepareEpoch(
   auto prep = std::make_unique<PreparedAtr>();
   prep->payload = epoch.payload;
   ScopedTimerNs timer(&stats_.dispatch_ns);
-  const std::string& data = *epoch.payload;
-  size_t offset = 0;
-  TxnTask* open = nullptr;
-  while (offset < data.size()) {
-    size_t rec_start = offset;
-    auto rec = LogCodec::DecodeMetadata(data, &offset);
-    if (!rec.ok()) {
-      SetError(rec.status());
-      return prep;
-    }
-    switch (rec->type) {
-      case LogRecordType::kBegin:
-        prep->tasks.emplace_back();
-        open = &prep->tasks.back();
-        open->txn_id = rec->txn_id;
-        open->commit_ts = rec->timestamp;
-        break;
-      case LogRecordType::kCommit:
-        open = nullptr;
-        break;
-      case LogRecordType::kHeartbeat:
-        break;
-      default:
-        if (open == nullptr) {
-          SetError(Status::Corruption("DML outside transaction"));
-          return prep;
+  Status s = WalkEpochPayload<RecordDecode::kMetadata>(
+      *epoch.payload, [&prep](const LogRecordView& rec, const TxnFrame& txn,
+                              size_t begin, size_t) {
+        if (rec.type == LogRecordType::kBegin) {
+          prep->tasks.emplace_back();
+          prep->tasks.back().txn_id = txn.txn_id;
+          prep->tasks.back().commit_ts = txn.commit_ts;
+        } else if (rec.is_dml()) {
+          prep->tasks.back().offsets.push_back(begin);
         }
-        open->offsets.push_back(rec_start);
-        break;
-    }
-  }
+        return Status::OK();
+      });
+  if (!s.ok()) SetError(std::move(s));
   return prep;
 }
 
@@ -110,17 +81,10 @@ void AtrReplayer::CommitEpoch(const ShippedEpoch& epoch,
     }
     if (HasError()) break;
     ScopedTimerNs timer(&stats_.commit_ns);
-    // Max-guarded for the same reason as the epoch-end advance below: the
-    // previous sub-epoch's patched header max may exceed this commit.
-    StoreMaxTimestamp(watermark_, task.commit_ts);
+    AdvanceGlobalTs(task.commit_ts);
     stats_.txns.fetch_add(1, std::memory_order_relaxed);
   }
   pool_->WaitIdle();
-  // Sharded sub-epochs carry the FULL epoch's max_commit_ts in the header;
-  // advance to it after a clean epoch so this shard keeps pace with the
-  // primary even when its own last transaction commits earlier (no-op
-  // unsharded).
-  if (!HasError()) StoreMaxTimestamp(watermark_, epoch.max_commit_ts);
 }
 
 void AtrReplayer::WorkerRun(const std::string& payload,
@@ -143,21 +107,22 @@ void AtrReplayer::WorkerRun(const std::string& payload,
       MemNode* node =
           store_.GetTable(rec->table_id)->GetOrCreateNode(rec->row_key);
       // Operation-sequence check: versions of one record must be installed
-      // in the primary's modification order. Spin until the chain length
-      // matches the log entry's row sequence (its before-image position);
-      // the dependency always points to an earlier operation, so this
-      // cannot stall — unless that operation's worker died on the error
-      // latch, which the spin checks for. Time spent here is the
+      // in the primary's modification order. Spin until the node's append
+      // count matches the log entry's row sequence (the primary's append
+      // count before this write). Appends only grow the count, GC never
+      // lowers it, so the dependency always points to an earlier operation
+      // and this cannot stall — unless that operation's worker died on the
+      // error latch, which the spin checks for. Time spent here is the
       // synchronization cost the paper identifies as ATR's scalability
       // limiter.
-      if (node->NumVersions() != rec->row_seq) {
+      if (node->AppendCount() != rec->row_seq) {
         static obs::Counter* sync_retries =
             obs::GetCounter("replay.conflict_retries");
         sync_retries->Add(1);
         ScopedTimerNs wait_timer(&stats_.sync_wait_ns);
         SpinBackoff backoff(/*spins_per_yield=*/512,
                             /*yields_before_sleep=*/-1);
-        while (node->NumVersions() != rec->row_seq) {
+        while (node->AppendCount() != rec->row_seq) {
           if (HasError()) return;
           backoff.Pause();
         }

@@ -36,9 +36,6 @@ class AtrReplayer : public ReplayerBase {
   AtrReplayer(const Catalog* catalog, EpochChannel* channel, AtrOptions options);
   ~AtrReplayer() override;
 
-  Timestamp TableVisibleTs(TableId table) const override;
-  Timestamp GlobalVisibleTs() const override;
-
  protected:
   Status StartWorkers() override;
   void StopWorkers() override;
@@ -46,7 +43,6 @@ class AtrReplayer : public ReplayerBase {
       const ShippedEpoch& epoch) override;
   void CommitEpoch(const ShippedEpoch& epoch,
                    std::unique_ptr<PreparedEpoch> prepared) override;
-  void ProcessHeartbeat(const ShippedEpoch& epoch) override;
 
  private:
   /// One transaction's work: offsets of its DML records in the payload.
@@ -69,7 +65,6 @@ class AtrReplayer : public ReplayerBase {
                  int worker_id);
 
   AtrOptions options_;
-  std::atomic<Timestamp> watermark_{kInvalidTimestamp};
   std::unique_ptr<ThreadPool> pool_;
 };
 

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "aets/common/macros.h"
-#include "aets/log/codec.h"
+#include "aets/log/framing.h"
 #include "aets/obs/trace.h"
 
 namespace aets {
@@ -40,18 +40,6 @@ Status C5Replayer::StartWorkers() {
 
 void C5Replayer::StopWorkers() { pool_.reset(); }
 
-Timestamp C5Replayer::TableVisibleTs(TableId) const {
-  return watermark_.load(std::memory_order_acquire);
-}
-
-Timestamp C5Replayer::GlobalVisibleTs() const {
-  return watermark_.load(std::memory_order_acquire);
-}
-
-void C5Replayer::ProcessHeartbeat(const ShippedEpoch& epoch) {
-  StoreMaxTimestamp(watermark_, epoch.heartbeat_ts);
-}
-
 std::unique_ptr<ReplayerBase::PreparedEpoch> C5Replayer::PrepareEpoch(
     const ShippedEpoch& epoch) {
   AETS_TRACE_SPAN("replay.prepare");
@@ -64,48 +52,33 @@ std::unique_ptr<ReplayerBase::PreparedEpoch> C5Replayer::PrepareEpoch(
   auto prep = std::make_unique<PreparedC5>();
   prep->queues.resize(static_cast<size_t>(options_.workers));
   ScopedTimerNs timer(&stats_.dispatch_ns);
-  const std::string& data = *epoch.payload;
   prep->txn_ts.reserve(epoch.num_txns);
   std::vector<uint32_t> counts;
   counts.reserve(epoch.num_txns);
-  size_t offset = 0;
-  size_t cur_txn = SIZE_MAX;
-  Timestamp cur_ts = kInvalidTimestamp;
-  while (offset < data.size()) {
-    auto rec = LogCodec::DecodeView(data, &offset);  // full image decode
-    if (!rec.ok()) {
-      SetError(rec.status());
-      return prep;
-    }
-    switch (rec->type) {
-      case LogRecordType::kBegin:
-        cur_txn = prep->txn_ts.size();
-        cur_ts = rec->timestamp;
-        prep->txn_ts.push_back(cur_ts);
-        counts.push_back(0);
-        break;
-      case LogRecordType::kCommit:
-      case LogRecordType::kHeartbeat:
-        break;
-      default: {
-        if (cur_txn == SIZE_MAX) {
-          SetError(Status::Corruption("DML outside transaction"));
-          return prep;
+  Status s = WalkEpochPayload<RecordDecode::kFull>(  // full image decode
+      *epoch.payload,
+      [&](const LogRecordView& rec, const TxnFrame& txn, size_t, size_t) {
+        if (rec.type == LogRecordType::kBegin) {
+          prep->txn_ts.push_back(txn.commit_ts);
+          counts.push_back(0);
         }
-        size_t q = RowQueueOf(rec->table_id, rec->row_key, options_.workers);
-        counts[cur_txn]++;
+        if (!rec.is_dml()) return Status::OK();
+        size_t q = RowQueueOf(rec.table_id, rec.row_key, options_.workers);
+        counts[txn.index]++;
         RowOp op;
-        op.table_id = rec->table_id;
-        op.row_key = rec->row_key;
-        op.txn_id = rec->txn_id;
-        op.is_delete = rec->type == LogRecordType::kDelete;
-        op.delta = PackedDelta::FromWire(rec->num_values, rec->value_bytes);
-        op.commit_ts = cur_ts;
-        op.txn_index = cur_txn;
+        op.table_id = rec.table_id;
+        op.row_key = rec.row_key;
+        op.txn_id = rec.txn_id;
+        op.is_delete = rec.type == LogRecordType::kDelete;
+        op.delta = PackedDelta::FromWire(rec.num_values, rec.value_bytes);
+        op.commit_ts = txn.commit_ts;
+        op.txn_index = txn.index;
         prep->queues[q].push_back(std::move(op));
-        break;
-      }
-    }
+        return Status::OK();
+      });
+  if (!s.ok()) {
+    SetError(std::move(s));
+    return prep;
   }
   prep->txn_remaining = std::vector<std::atomic<uint32_t>>(counts.size());
   for (size_t i = 0; i < counts.size(); ++i) {
@@ -114,7 +87,7 @@ std::unique_ptr<ReplayerBase::PreparedEpoch> C5Replayer::PrepareEpoch(
   return prep;
 }
 
-void C5Replayer::CommitEpoch(const ShippedEpoch& epoch,
+void C5Replayer::CommitEpoch(const ShippedEpoch& /*epoch*/,
                              std::unique_ptr<PreparedEpoch> prepared) {
   AETS_TRACE_SPAN("replay.epoch");
   auto* prep = static_cast<PreparedC5*>(prepared.get());
@@ -158,10 +131,7 @@ void C5Replayer::CommitEpoch(const ShippedEpoch& epoch,
         ScopedTimerNs timer(&stats_.commit_ns);
         while (next < prep->txn_ts.size() &&
                prep->txn_remaining[next].load(std::memory_order_acquire) == 0) {
-          // Max-guarded: a sharded sub-epoch's patched header max may have
-          // already advanced the watermark past this sub-stream's own
-          // timestamps; a plain store would move it backwards.
-          StoreMaxTimestamp(watermark_, prep->txn_ts[next]);
+          AdvanceGlobalTs(prep->txn_ts[next]);
           stats_.txns.fetch_add(1, std::memory_order_relaxed);
           ++next;
         }
@@ -175,11 +145,6 @@ void C5Replayer::CommitEpoch(const ShippedEpoch& epoch,
   pool_->WaitIdle();
   workers_done.store(true, std::memory_order_release);
   watermark_thread.join();
-  // Sharded sub-epochs carry the FULL epoch's max_commit_ts in the header;
-  // advance to it after a clean epoch so this shard keeps pace with the
-  // primary even when its own last transaction commits earlier (no-op
-  // unsharded).
-  if (!HasError()) StoreMaxTimestamp(watermark_, epoch.max_commit_ts);
 }
 
 }  // namespace aets

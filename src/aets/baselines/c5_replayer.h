@@ -38,9 +38,6 @@ class C5Replayer : public ReplayerBase {
   C5Replayer(const Catalog* catalog, EpochChannel* channel, C5Options options);
   ~C5Replayer() override;
 
-  Timestamp TableVisibleTs(TableId table) const override;
-  Timestamp GlobalVisibleTs() const override;
-
  protected:
   Status StartWorkers() override;
   void StopWorkers() override;
@@ -48,7 +45,6 @@ class C5Replayer : public ReplayerBase {
       const ShippedEpoch& epoch) override;
   void CommitEpoch(const ShippedEpoch& epoch,
                    std::unique_ptr<PreparedEpoch> prepared) override;
-  void ProcessHeartbeat(const ShippedEpoch& epoch) override;
 
  private:
   /// A fully decoded row operation bound for one dedicated queue: the fixed
@@ -76,7 +72,6 @@ class C5Replayer : public ReplayerBase {
   };
 
   C5Options options_;
-  std::atomic<Timestamp> watermark_{kInvalidTimestamp};
   std::unique_ptr<ThreadPool> pool_;
 };
 

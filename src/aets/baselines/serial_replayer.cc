@@ -16,18 +16,6 @@ SerialReplayer::SerialReplayer(const Catalog* catalog, EpochChannel* channel,
 
 SerialReplayer::~SerialReplayer() { Stop(); }
 
-Timestamp SerialReplayer::TableVisibleTs(TableId) const {
-  return watermark_.load(std::memory_order_acquire);
-}
-
-Timestamp SerialReplayer::GlobalVisibleTs() const {
-  return watermark_.load(std::memory_order_acquire);
-}
-
-void SerialReplayer::ProcessHeartbeat(const ShippedEpoch& epoch) {
-  StoreMaxTimestamp(watermark_, epoch.heartbeat_ts);
-}
-
 std::unique_ptr<ReplayerBase::PreparedEpoch> SerialReplayer::PrepareEpoch(
     const ShippedEpoch& shipped) {
   AETS_TRACE_SPAN("replay.prepare");
@@ -42,7 +30,7 @@ std::unique_ptr<ReplayerBase::PreparedEpoch> SerialReplayer::PrepareEpoch(
   return prep;
 }
 
-void SerialReplayer::CommitEpoch(const ShippedEpoch& shipped,
+void SerialReplayer::CommitEpoch(const ShippedEpoch& /*shipped*/,
                                  std::unique_ptr<PreparedEpoch> prepared) {
   auto* prep = static_cast<PreparedSerial*>(prepared.get());
   AETS_TRACE_SPAN("replay.epoch");
@@ -52,16 +40,9 @@ void SerialReplayer::CommitEpoch(const ShippedEpoch& shipped,
       if (!rec.is_dml()) continue;
       store_.GetTable(rec.table_id)->ApplyCommitted(rec, txn.commit_ts);
     }
-    // Max-guarded: the previous sub-epoch's patched header max may already
-    // exceed this shard's next commit timestamp.
-    StoreMaxTimestamp(watermark_, txn.commit_ts);
+    AdvanceGlobalTs(txn.commit_ts);
     stats_.txns.fetch_add(1, std::memory_order_relaxed);
   }
-  // A sharded sub-epoch's header max_commit_ts is the FULL epoch's max —
-  // this shard's last transaction may commit earlier. Advancing to the
-  // header max after a clean replay keeps the shard's watermark in step
-  // with the primary (no-op unsharded: the last txn IS the header max).
-  if (!HasError()) StoreMaxTimestamp(watermark_, shipped.max_commit_ts);
 }
 
 }  // namespace aets

@@ -1,7 +1,6 @@
 #ifndef AETS_BASELINES_SERIAL_REPLAYER_H_
 #define AETS_BASELINES_SERIAL_REPLAYER_H_
 
-#include <atomic>
 #include <memory>
 
 #include "aets/catalog/catalog.h"
@@ -14,11 +13,13 @@ namespace aets {
 /// Single-threaded replayer that applies transactions strictly in commit
 /// order. It is the correctness oracle: every parallel replayer's final
 /// backup state must equal the serial replayer's (and the primary's). It
-/// deliberately keeps the owning decode path (DecodeEpoch) so the oracle
-/// exercises different codec machinery than the replayers under test.
+/// decodes through DecodeEpoch — the shared framing walker and DecodeView,
+/// then a materialization into owning LogRecords — and applies through
+/// Memtable::ApplyCommitted, so its install path shares no code with the
+/// replayers under test.
 ///
-/// The cross-epoch pipeline (DESIGN.md §9) still applies: the owning decode
-/// of epoch N+1 overlaps the apply of epoch N. The apply itself — and every
+/// The cross-epoch pipeline (DESIGN.md §9) still applies: the decode of
+/// epoch N+1 overlaps the apply of epoch N. The apply itself — and every
 /// watermark store — remains strictly serial in commit order.
 class SerialReplayer : public ReplayerBase {
  public:
@@ -26,23 +27,17 @@ class SerialReplayer : public ReplayerBase {
                  int pipeline_depth = 2);
   ~SerialReplayer() override;
 
-  Timestamp TableVisibleTs(TableId table) const override;
-  Timestamp GlobalVisibleTs() const override;
-
  protected:
   std::unique_ptr<PreparedEpoch> PrepareEpoch(
       const ShippedEpoch& epoch) override;
   void CommitEpoch(const ShippedEpoch& epoch,
                    std::unique_ptr<PreparedEpoch> prepared) override;
-  void ProcessHeartbeat(const ShippedEpoch& epoch) override;
 
  private:
   /// Prepare-stage output: the owning decode of one epoch.
   struct PreparedSerial : PreparedEpoch {
     Epoch epoch;
   };
-
-  std::atomic<Timestamp> watermark_{kInvalidTimestamp};
 };
 
 }  // namespace aets

@@ -9,7 +9,6 @@ AetsOptions TplrBaselineOptions(int replay_threads) {
   options.two_stage = false;
   options.adaptive_alloc = false;
   options.grouping = GroupingMode::kSingle;
-  options.regroup_on_rate_change = false;
   options.name = "TPLR";
   return options;
 }

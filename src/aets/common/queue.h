@@ -35,8 +35,9 @@ class BlockingQueue {
     return true;
   }
 
-  /// Non-blocking push; returns false when full or closed.
-  bool TryPush(T item) {
+  /// Non-blocking push; returns false when full or closed, leaving `item`
+  /// untouched so the caller can still block in Push or shed it.
+  bool TryPush(T&& item) {
     std::unique_lock<std::mutex> lk(mu_);
     if (closed_ || (capacity_ != 0 && queue_.size() >= capacity_)) return false;
     queue_.push_back(std::move(item));

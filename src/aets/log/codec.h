@@ -26,7 +26,8 @@ namespace aets {
 ///
 /// The replication channel ships encoded epochs; replayers decode either the
 /// metadata prefix only (AETS, ATR) or the full image (C5) — the asymmetric
-/// parsing cost the paper's Section VI-B calls out. The hot apply path uses
+/// parsing cost the paper's Section VI-B calls out — through the one framing
+/// walker, WalkEpochPayload (log/framing.h). The hot apply path uses
 /// `DecodeView`, which validates the frame once and hands back string_view
 /// slices into the source buffer instead of allocating per value.
 class LogCodec {
@@ -35,9 +36,10 @@ class LogCodec {
   static void Encode(const LogRecord& record, std::string* out);
 
   /// Decodes one record starting at `data[*offset]`, advancing `*offset`.
-  /// Checksum mismatches and truncation return Corruption. Owning: every
-  /// string value is copied out. Kept for checkpoint restore compatibility,
-  /// DecodeAll, and the serial oracle.
+  /// Checksum mismatches and truncation return Corruption. Owning: DecodeView
+  /// plus LogRecordView::Materialize, so every string value is copied out.
+  /// Used by DecodeAll, tests and the codec benchmarks; the replay and
+  /// checkpoint-restore paths decode views.
   static Result<LogRecord> Decode(std::string_view data, size_t* offset);
 
   /// Single-pass zero-copy decode: verifies the checksum, bounds-checks every

@@ -41,9 +41,10 @@ struct LogRecord {
   TableId table_id = kInvalidTableId;
   int64_t row_key = 0;
   TxnId prev_txn_id = kInvalidTxnId;
-  /// Number of versions this row had on the primary before this operation
-  /// (a per-row modification sequence, like ATR's RVID). Baselines that
-  /// install versions directly use it for the operation-sequence check.
+  /// Versions appended to this row on the primary before this operation
+  /// (MemNode::AppendCount — a per-row modification sequence like ATR's
+  /// RVID, which GC never lowers). Baselines that install versions directly
+  /// use it for the operation-sequence check.
   uint64_t row_seq = 0;
   std::vector<ColumnValue> values;
 

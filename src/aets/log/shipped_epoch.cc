@@ -2,6 +2,7 @@
 
 #include "aets/common/macros.h"
 #include "aets/log/codec.h"
+#include "aets/log/framing.h"
 
 namespace aets {
 
@@ -45,36 +46,19 @@ Result<Epoch> DecodeEpoch(const ShippedEpoch& shipped) {
   epoch.epoch_id = shipped.epoch_id;
   if (shipped.is_heartbeat()) return epoch;
   AETS_CHECK(shipped.payload != nullptr);
-  const std::string& data = *shipped.payload;
-  size_t offset = 0;
-  TxnLog current;
-  bool in_txn = false;
-  while (offset < data.size()) {
-    auto rec = LogCodec::Decode(data, &offset);
-    if (!rec.ok()) return rec.status();
-    LogRecord record = std::move(rec).value();
-    switch (record.type) {
-      case LogRecordType::kBegin:
-        if (in_txn) return Status::Corruption("nested BEGIN");
-        current = TxnLog{};
-        current.txn_id = record.txn_id;
-        in_txn = true;
-        current.records.push_back(std::move(record));
-        break;
-      case LogRecordType::kCommit:
-        if (!in_txn) return Status::Corruption("COMMIT without BEGIN");
-        current.commit_ts = record.timestamp;
-        current.records.push_back(std::move(record));
-        epoch.txns.push_back(std::move(current));
-        in_txn = false;
-        break;
-      default:
-        if (!in_txn) return Status::Corruption("DML outside transaction");
-        current.records.push_back(std::move(record));
-        break;
-    }
-  }
-  if (in_txn) return Status::Corruption("unterminated transaction");
+  Status s = WalkEpochPayload<RecordDecode::kFull>(
+      *shipped.payload,
+      [&epoch](const LogRecordView& rec, const TxnFrame& txn, size_t, size_t) {
+        if (rec.type == LogRecordType::kBegin) {
+          epoch.txns.emplace_back();
+          epoch.txns.back().txn_id = txn.txn_id;
+        }
+        TxnLog& log = epoch.txns.back();
+        if (rec.type == LogRecordType::kCommit) log.commit_ts = rec.timestamp;
+        log.records.push_back(rec.Materialize());
+        return Status::OK();
+      });
+  if (!s.ok()) return s;
   return epoch;
 }
 

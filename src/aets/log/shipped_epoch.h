@@ -50,8 +50,9 @@ ShippedEpoch EncodeEpoch(const Epoch& epoch);
 /// Builds a heartbeat epoch.
 ShippedEpoch MakeHeartbeatEpoch(EpochId id, Timestamp ts);
 
-/// Fully decodes a shipped epoch back into transaction logs (used by tests
-/// and the serial oracle).
+/// Fully decodes a shipped epoch back into transaction logs through the
+/// framing walker (used by tests, the serial oracle, the reference model and
+/// the bench harness). A heartbeat epoch decodes to no transactions.
 Result<Epoch> DecodeEpoch(const ShippedEpoch& shipped);
 
 }  // namespace aets

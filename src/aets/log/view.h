@@ -103,8 +103,9 @@ struct LogRecordView {
 
   DeltaReader values() const { return DeltaReader(value_bytes, num_values); }
 
-  /// Materializes an owning LogRecord (the one allocation-heavy path, kept
-  /// for the serial oracle, DecodeAll, and tests).
+  /// Materializes an owning LogRecord (the one allocation-heavy path:
+  /// DecodeEpoch — the serial oracle, the reference model, the bench
+  /// harness — LogCodec::Decode, and tests).
   LogRecord Materialize() const;
 };
 

@@ -66,9 +66,9 @@ void QueryServer::AcceptLoop() {
       return;
     }
     TcpSocket socket = std::move(*accepted);
-    // The size check keeps the socket intact on the reject path (TryPush
-    // consumes its argument even on failure); this loop is the only
-    // producer, so the queue cannot grow between check and push.
+    // The size check makes admission_queue == 0 shed everything (the queue
+    // reads capacity 0 as unbounded); a failed TryPush leaves the socket
+    // intact for the busy reply below.
     bool admitted = admission_.Size() < options_.admission_queue &&
                     admission_.TryPush(std::move(socket));
     if (!admitted) {

@@ -1,14 +1,32 @@
 #include "aets/replay/aets_replayer.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "aets/common/backoff.h"
 #include "aets/common/macros.h"
 #include "aets/log/codec.h"
+#include "aets/log/framing.h"
 #include "aets/obs/trace.h"
 
 namespace aets {
+
+namespace {
+
+/// Minimum predicted access rate for a table to count as hot (filters
+/// predictor noise on unqueried tables).
+constexpr double kHotRateThreshold = 0.5;
+
+/// Columnar publish amortization (storage::ColumnStoreOptions
+/// ::publish_min_dirty): the background merge worker only rolls a table's
+/// dirty backlog into new chunks once it reaches max(this, live_rows/8);
+/// until then queries resolve the backlog through the residual top-up.
+/// Heartbeats and shutdown force-flush, so an idle or drained backup is
+/// always fully chunked.
+constexpr size_t kColumnPublishMinDirty = 4096;
+
+}  // namespace
 
 AetsReplayer::PreparedAets::~PreparedAets() { WaitTranslationDrained(); }
 
@@ -27,7 +45,6 @@ AetsReplayer::AetsReplayer(const Catalog* catalog, EpochChannel* channel,
       commit_spin_waits_metric_(obs::GetCounter("replay.commit_spin_waits")),
       regroup_metric_(obs::GetCounter("allocator.regroups")),
       realloc_metric_(obs::GetCounter("allocator.reallocations")),
-      watermark_metric_(obs::GetGauge("replay.global_visible_ts")),
       num_groups_metric_(obs::GetGauge("allocator.groups")),
       epoch_apply_us_metric_(obs::GetHistogram("replay.epoch_apply_us")) {
   for (auto& ts : table_ts_) ts.store(kInvalidTimestamp, std::memory_order_relaxed);
@@ -38,7 +55,7 @@ AetsReplayer::AetsReplayer(const Catalog* catalog, EpochChannel* channel,
   if (options_.column_store_enabled) {
     storage::ColumnStoreOptions cs;
     cs.chunk_rows = options_.column_chunk_rows;
-    cs.publish_min_dirty = options_.column_publish_min_dirty;
+    cs.publish_min_dirty = kColumnPublishMinDirty;
     EnableColumnStore(cs);
   }
 }
@@ -69,11 +86,8 @@ void AetsReplayer::StopWorkers() {
 
 Timestamp AetsReplayer::TableVisibleTs(TableId table) const {
   AETS_CHECK(table < table_ts_.size());
-  return table_ts_[table].load(std::memory_order_acquire);
-}
-
-Timestamp AetsReplayer::GlobalVisibleTs() const {
-  return global_ts_.load(std::memory_order_acquire);
+  return std::max(table_ts_[table].load(std::memory_order_acquire),
+                  GlobalVisibleTs());
 }
 
 std::vector<TableGroup> AetsReplayer::groups() const {
@@ -89,15 +103,12 @@ AetsReplayer::grouping_snapshot() const {
 
 Status AetsReplayer::Bootstrap(const std::string& checkpoint_path) {
   if (started()) return Status::InvalidArgument("Bootstrap after Start");
-  if (expected_epoch_ != 0 || global_ts_.load() != kInvalidTimestamp) {
+  if (expected_epoch_ != 0 || GlobalVisibleTs() != kInvalidTimestamp) {
     return Status::InvalidArgument("Bootstrap on a non-fresh replayer");
   }
   auto info = Checkpointer::Restore(checkpoint_path, &store_);
   if (!info.ok()) return info.status();
-  for (auto& ts : table_ts_) {
-    ts.store(info->snapshot_ts, std::memory_order_relaxed);
-  }
-  global_ts_.store(info->snapshot_ts, std::memory_order_relaxed);
+  AdvanceGlobalTs(info->snapshot_ts);
   expected_epoch_ = info->next_epoch_id;
   // Seed generation 0 of the columnar projections from the restored rows —
   // without this, keys that never change again would stay invisible to the
@@ -110,7 +121,7 @@ Status AetsReplayer::Bootstrap(const std::string& checkpoint_path) {
 
 Status AetsReplayer::WriteCheckpoint(const std::string& path) const {
   if (started()) return Status::InvalidArgument("WriteCheckpoint while running");
-  return Checkpointer::Write(store_, global_ts_.load(), expected_epoch_, path);
+  return Checkpointer::Write(store_, GlobalVisibleTs(), expected_epoch_, path);
 }
 
 Status AetsReplayer::WriteLiveCheckpoint(const std::string& path) const {
@@ -120,21 +131,11 @@ Status AetsReplayer::WriteLiveCheckpoint(const std::string& path) const {
   // here (full-image inserts/deletes at fixed commit timestamps), while
   // skipping one never is.
   EpochId next_epoch = next_expected_epoch();
-  Timestamp watermark = global_ts_.load(std::memory_order_acquire);
+  Timestamp watermark = GlobalVisibleTs();
   if (watermark == kInvalidTimestamp) {
     return Status::InvalidArgument("live checkpoint before any watermark");
   }
   return Checkpointer::Write(store_, watermark, next_epoch, path);
-}
-
-void AetsReplayer::ProcessHeartbeat(const ShippedEpoch& epoch) {
-  // Heartbeats ride the pipeline queue behind every data epoch shipped
-  // before them, and the commit context is single, so all data older than
-  // heartbeat_ts is already replayed; the whole backup may publish it.
-  for (auto& ts : table_ts_) StoreMaxTimestamp(ts, epoch.heartbeat_ts);
-  StoreMaxTimestamp(global_ts_, epoch.heartbeat_ts);
-  watermark_metric_->Set(
-      static_cast<int64_t>(global_ts_.load(std::memory_order_relaxed)));
 }
 
 void AetsReplayer::RefreshRates() {
@@ -158,7 +159,7 @@ void AetsReplayer::RefreshRates() {
       for (TableId t : g.tables) g.access_rate += current_rates_[t];
       if (options_.grouping != GroupingMode::kStatic &&
           options_.grouping != GroupingMode::kSingle) {
-        g.hot = g.access_rate >= options_.hot_rate_threshold;
+        g.hot = g.access_rate >= kHotRateThreshold;
       }
     }
     std::lock_guard<std::mutex> lk(groups_mu_);
@@ -170,11 +171,11 @@ void AetsReplayer::RebuildGroups(const std::vector<double>& rates) {
   auto next = std::make_shared<GroupingSnapshot>();
   switch (options_.grouping) {
     case GroupingMode::kPerTable:
-      next->groups = TableGrouping::PerTable(rates, options_.hot_rate_threshold);
+      next->groups = TableGrouping::PerTable(rates, kHotRateThreshold);
       break;
     case GroupingMode::kByAccessRate:
       next->groups = TableGrouping::ByAccessRate(rates, options_.dbscan_eps,
-                                                 options_.hot_rate_threshold);
+                                                 kHotRateThreshold);
       break;
     case GroupingMode::kStatic:
       next->groups = TableGrouping::Static(options_.static_hot_groups, rates,
@@ -214,19 +215,21 @@ std::unique_ptr<ReplayerBase::PreparedEpoch> AetsReplayer::PrepareEpoch(
   {
     AETS_TRACE_SPAN("replay.dispatch");
     ScopedTimerNs timer(&stats_.dispatch_ns);
-    if (!DispatchEpoch(epoch, grouping, &prep->gstate)) return prep;
+    Status s = DispatchEpoch(epoch, grouping, &prep->gstate);
+    if (!s.ok()) {
+      SetError(std::move(s));
+      return prep;
+    }
   }
 
   // Partition groups into the two stages. Without two-stage replay every
   // group runs in one stage. Groups that received no log entries this epoch
-  // have nothing pending, but their tables may publish the epoch's maximum
-  // commit timestamp only after the whole epoch commits cleanly (see
-  // CommitEpoch) — publishing here would let a later stage failure leave a
-  // quiet table's watermark past the failure point.
+  // have nothing to commit; their tables become visible at the epoch's max
+  // commit timestamp through the base's global watermark, which moves only
+  // once the whole epoch committed cleanly.
   for (size_t gi = 0; gi < grouping.groups.size(); ++gi) {
-    if (prep->gstate[gi].fragments.empty()) {
-      prep->quiet_groups.push_back(static_cast<int>(gi));
-    } else if (options_.two_stage && !grouping.groups[gi].hot) {
+    if (prep->gstate[gi].fragments.empty()) continue;
+    if (options_.two_stage && !grouping.groups[gi].hot) {
       prep->cold_groups.push_back(static_cast<int>(gi));
     } else {
       prep->hot_groups.push_back(static_cast<int>(gi));
@@ -259,82 +262,41 @@ void AetsReplayer::CommitEpoch(const ShippedEpoch& epoch,
   // poisoned fragment's SetError must not be outrun by the check below.
   prep->WaitTranslationDrained();
 
-  // A failed epoch must not move any watermark past the failure point —
-  // including the quiet groups, whose tables saw no log entries this epoch
-  // but would otherwise announce visibility the epoch never earned.
+  // A failed epoch must not count as applied; the base then leaves the
+  // global watermark where it was.
   if (HasError()) return;
-
-  const GroupingSnapshot& grouping = *prep->grouping;
-  for (int gi : prep->quiet_groups) {
-    for (TableId t : grouping.groups[static_cast<size_t>(gi)].tables) {
-      StoreMaxTimestamp(table_ts_[t], epoch.max_commit_ts);
-    }
-  }
-  StoreMaxTimestamp(global_ts_, epoch.max_commit_ts);
   stats_.txns.fetch_add(epoch.num_txns, std::memory_order_relaxed);
-  watermark_metric_->Set(
-      static_cast<int64_t>(global_ts_.load(std::memory_order_relaxed)));
   epoch_apply_us_metric_->Record(MonotonicMicros() - prep->apply_start_us);
 }
 
-bool AetsReplayer::DispatchEpoch(const ShippedEpoch& epoch,
-                                 const GroupingSnapshot& grouping,
-                                 std::vector<GroupEpochState>* gstate) {
+Status AetsReplayer::DispatchEpoch(const ShippedEpoch& epoch,
+                                   const GroupingSnapshot& grouping,
+                                   std::vector<GroupEpochState>* gstate) {
   // The log parser + dispatcher (component 1 of Fig. 3): a single pass over
-  // the metadata prefixes finds transaction boundaries and routes each DML
-  // entry to its group, recording only the payload offset — values are
-  // decoded later, in parallel, by the phase-1 replay workers.
-  const std::string& data = *epoch.payload;
-  size_t offset = 0;
-  TxnId cur_txn = kInvalidTxnId;
-  Timestamp cur_ts = kInvalidTimestamp;
-  std::vector<Fragment*> open(grouping.groups.size(), nullptr);
-  std::vector<int> touched;
-  while (offset < data.size()) {
-    size_t rec_start = offset;
-    auto rec = LogCodec::DecodeMetadata(data, &offset);
-    if (!rec.ok()) {
-      SetError(rec.status());
-      return false;
-    }
-    switch (rec->type) {
-      case LogRecordType::kBegin:
-        cur_txn = rec->txn_id;
-        cur_ts = rec->timestamp;
-        break;
-      case LogRecordType::kCommit:
-        for (int gi : touched) open[static_cast<size_t>(gi)] = nullptr;
-        touched.clear();
-        cur_txn = kInvalidTxnId;
-        break;
-      case LogRecordType::kHeartbeat:
-        break;
-      default: {  // DML
-        if (cur_txn == kInvalidTxnId) {
-          SetError(Status::Corruption("DML outside transaction"));
-          return false;
+  // the metadata prefixes routes each DML entry to its group, one fragment
+  // per (transaction, group), recording only the payload offset — values
+  // are decoded later, in parallel, by the phase-1 replay workers.
+  std::vector<size_t> open_txn(grouping.groups.size(), SIZE_MAX);
+  return WalkEpochPayload<RecordDecode::kMetadata>(
+      *epoch.payload, [&](const LogRecordView& rec, const TxnFrame& txn,
+                          size_t begin, size_t end) {
+        if (!rec.is_dml()) return Status::OK();
+        if (rec.table_id >= grouping.table_to_group.size()) {
+          return Status::Corruption("DML for unknown table");
         }
-        if (rec->table_id >= grouping.table_to_group.size()) {
-          SetError(Status::Corruption("DML for unknown table"));
-          return false;
-        }
-        size_t gi = static_cast<size_t>(grouping.table_to_group[rec->table_id]);
+        size_t gi = static_cast<size_t>(grouping.table_to_group[rec.table_id]);
         GroupEpochState& gs = (*gstate)[gi];
-        if (open[gi] == nullptr) {
+        if (open_txn[gi] != txn.index) {
+          open_txn[gi] = txn.index;
           auto frag = std::make_unique<Fragment>();
-          frag->txn_id = cur_txn;
-          frag->commit_ts = cur_ts;
-          open[gi] = frag.get();
+          frag->txn_id = txn.txn_id;
+          frag->commit_ts = txn.commit_ts;
           gs.fragments.push_back(std::move(frag));
-          touched.push_back(static_cast<int>(gi));
         }
-        open[gi]->offsets.push_back(rec_start);
-        gs.bytes += offset - rec_start;
-        break;
-      }
-    }
-  }
-  return true;
+        gs.fragments.back()->offsets.push_back(begin);
+        gs.bytes += end - begin;
+        return Status::OK();
+      });
 }
 
 void AetsReplayer::LaunchTranslate(PreparedAets* prep,

@@ -68,9 +68,6 @@ struct AetsOptions {
   std::vector<std::vector<TableId>> static_hot_groups;
   /// DBSCAN neighbor radius in log10(rate) space for kByAccessRate.
   double dbscan_eps = 0.3;
-  /// Minimum predicted access rate for a table to count as hot (filters
-  /// predictor noise on unqueried tables).
-  double hot_rate_threshold = 0.5;
 
   /// Called at each epoch start for the predicted per-table access rates
   /// (the Table Access Rate Predictor feeding component 2 of Fig. 3). When
@@ -91,14 +88,6 @@ struct AetsOptions {
   bool column_store_enabled = true;
   /// Target rows per columnar chunk (storage::ColumnStoreOptions).
   size_t column_chunk_rows = 4096;
-  /// Columnar publish amortization (storage::ColumnStoreOptions
-  /// ::publish_min_dirty): the background merge worker only rolls a
-  /// table's dirty backlog into new chunks once it reaches
-  /// max(this, live_rows/8); until then queries resolve the backlog
-  /// through the residual top-up. Heartbeats and shutdown force-flush, so
-  /// an idle or drained backup is always fully chunked. 0 rebuilds at
-  /// every posted watermark.
-  size_t column_publish_min_dirty = 4096;
   /// Display name (baselines built on this engine override it).
   std::string name = "AETS";
 
@@ -125,8 +114,8 @@ class AetsReplayer : public ReplayerBase {
                AetsOptions options);
   ~AetsReplayer() override;
 
+  /// The group's tg_cmt_ts, or the global watermark once that is ahead.
   Timestamp TableVisibleTs(TableId table) const override;
-  Timestamp GlobalVisibleTs() const override;
 
   /// Current grouping (for tests / diagnostics).
   std::vector<TableGroup> groups() const;
@@ -159,7 +148,6 @@ class AetsReplayer : public ReplayerBase {
       const ShippedEpoch& epoch) override;
   void CommitEpoch(const ShippedEpoch& epoch,
                    std::unique_ptr<PreparedEpoch> prepared) override;
-  void ProcessHeartbeat(const ShippedEpoch& epoch) override;
 
  private:
   /// A translated-but-uncommitted cell: the TPLR phase-1 output. Holds the
@@ -218,9 +206,6 @@ class AetsReplayer : public ReplayerBase {
     std::vector<GroupEpochState> gstate;
     std::vector<int> hot_groups;
     std::vector<int> cold_groups;
-    /// Groups that received no log entries this epoch; their tables publish
-    /// max_commit_ts only after the epoch commits cleanly.
-    std::vector<int> quiet_groups;
     std::atomic<int> outstanding_translate{0};
     int64_t apply_start_us = 0;
   };
@@ -228,9 +213,9 @@ class AetsReplayer : public ReplayerBase {
   void RefreshRates();
   void RebuildGroups(const std::vector<double>& rates);
   std::shared_ptr<const GroupingSnapshot> grouping_snapshot() const;
-  bool DispatchEpoch(const ShippedEpoch& epoch,
-                     const GroupingSnapshot& grouping,
-                     std::vector<GroupEpochState>* gstate);
+  Status DispatchEpoch(const ShippedEpoch& epoch,
+                       const GroupingSnapshot& grouping,
+                       std::vector<GroupEpochState>* gstate);
   /// Plans the stage's thread allocation and submits its phase-1 translate
   /// tasks to the replay pool (asynchronously — the commit stage, possibly
   /// epochs later, synchronizes on the per-fragment translated flags).
@@ -243,8 +228,10 @@ class AetsReplayer : public ReplayerBase {
 
   AetsOptions options_;
 
+  /// Per-table tg_cmt_ts, published by the group commits mid-epoch; the
+  /// base's global watermark covers every table at epoch end, heartbeats
+  /// and Bootstrap.
   std::vector<std::atomic<Timestamp>> table_ts_;
-  std::atomic<Timestamp> global_ts_{kInvalidTimestamp};
 
   mutable std::mutex groups_mu_;
   std::shared_ptr<const GroupingSnapshot> grouping_;
@@ -254,7 +241,6 @@ class AetsReplayer : public ReplayerBase {
   obs::Counter* commit_spin_waits_metric_;
   obs::Counter* regroup_metric_;
   obs::Counter* realloc_metric_;
-  obs::Gauge* watermark_metric_;
   obs::Gauge* num_groups_metric_;
   Histogram* epoch_apply_us_metric_;
   /// Per-group thread-count gauges (`allocator.group_threads.g<i>`),

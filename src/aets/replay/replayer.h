@@ -40,7 +40,7 @@ struct ReplayStats {
   std::atomic<uint64_t> epochs_retried{0};
   std::atomic<uint64_t> duplicates_dropped{0};
   std::atomic<uint64_t> corrupt_dropped{0};
-  /// Heartbeat epochs routed through ProcessHeartbeat. Together with
+  /// Heartbeat epochs committed (watermark published). Together with
   /// `epochs` this tells an external stepper when a shipped epoch has been
   /// fully consumed (the simulation harness waits on it).
   std::atomic<uint64_t> heartbeats{0};

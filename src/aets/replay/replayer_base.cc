@@ -1,5 +1,6 @@
 #include "aets/replay/replayer_base.h"
 
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -27,7 +28,8 @@ ReplayerBase::ReplayerBase(const Catalog* catalog, EpochChannel* channel,
           obs::GetCounter("replay.epochs_corrupt_dropped")),
       pipeline_stalls_metric_(obs::GetCounter("pipeline.stalls")),
       pipeline_depth_metric_(obs::GetGauge("pipeline.depth")),
-      pipeline_occupancy_metric_(obs::GetGauge("pipeline.occupancy")) {}
+      pipeline_occupancy_metric_(obs::GetGauge("pipeline.occupancy")),
+      global_ts_metric_(obs::GetGauge("replay.global_visible_ts")) {}
 
 ReplayerBase::~ReplayerBase() {
   // Backstop only: by now the derived part is gone, so StopWorkers() would
@@ -80,9 +82,6 @@ Status ReplayerBase::Start() {
   }
   Status s = StartWorkers();
   if (!s.ok()) return s;
-  pipe_.clear();
-  pipe_closed_ = false;
-  in_commit_ = 0;
   pipeline_depth_metric_->Set(pipeline_depth_);
   started_.store(true, std::memory_order_release);
   if (column_store_ != nullptr) {
@@ -91,8 +90,20 @@ Status ReplayerBase::Start() {
     col_stop_ = false;
     column_thread_ = std::thread([this] { ColumnMergeLoop(); });
   }
+  pipe_.reset();
   if (pipeline_depth_ > 1) {
-    commit_thread_ = std::thread([this] { CommitLoop(); });
+    pipe_ = std::make_unique<BlockingQueue<PipelineItem>>(
+        static_cast<size_t>(pipeline_depth_ - 1));
+    commit_thread_ = std::thread([this] {
+      // Occupancy counts queued plus committing epochs; it is set at every
+      // pop and every commit end.
+      while (std::optional<PipelineItem> item = pipe_->Pop()) {
+        pipeline_occupancy_metric_->Set(static_cast<int64_t>(pipe_->Size()) +
+                                        1);
+        CommitItem(std::move(*item));
+        pipeline_occupancy_metric_->Set(static_cast<int64_t>(pipe_->Size()));
+      }
+    });
   }
   main_thread_ = std::thread([this] { MainLoop(); });
   return Status::OK();
@@ -101,8 +112,8 @@ Status ReplayerBase::Start() {
 void ReplayerBase::Stop() {
   std::lock_guard<std::mutex> lk(lifecycle_mu_);
   if (!started_.load(std::memory_order_relaxed)) return;
-  // The main loop closes the pipeline after its final drain, so joining in
-  // this order leaves the commit queue fully consumed.
+  // The main loop closes the pipeline after closing the last gap, so joining
+  // in this order leaves the commit queue fully consumed.
   if (main_thread_.joinable()) main_thread_.join();
   if (commit_thread_.joinable()) commit_thread_.join();
   if (column_thread_.joinable()) {
@@ -115,10 +126,9 @@ void ReplayerBase::Stop() {
   }
   // The stream is drained: flush whatever columnar backlog the merge worker
   // and the publish threshold were still batching, so a caught-up backup
-  // serves every table from chunks (the joins above ordered
-  // last_applied_ts_ before this read).
+  // serves every table from chunks.
   if (column_store_ != nullptr && !HasError()) {
-    column_store_->Publish(last_applied_ts_, /*force=*/true);
+    column_store_->Publish(GlobalVisibleTs(), /*force=*/true);
   }
   StopWorkers();
   started_.store(false, std::memory_order_release);
@@ -151,100 +161,62 @@ void ReplayerBase::ApplyNext(ShippedEpoch epoch, bool retransmitted) {
     item.prepared = PrepareEpoch(epoch);
   }
   item.epoch = std::move(epoch);
-  if (pipeline_depth_ <= 1) {
+  if (pipe_ == nullptr) {
     CommitItem(std::move(item));
     return;
   }
-  {
-    std::unique_lock<std::mutex> lk(pipe_mu_);
-    const size_t depth = static_cast<size_t>(pipeline_depth_);
-    if (pipe_.size() + static_cast<size_t>(in_commit_) >= depth) {
-      // Backpressure: the commit stage is the bottleneck — block instead of
-      // letting prepared epochs (and their pinned payloads) pile up.
-      stats_.pipeline_stalls.fetch_add(1, std::memory_order_relaxed);
-      pipeline_stalls_metric_->Add(1);
-      pipe_space_cv_.wait(lk, [&] {
-        return pipe_.size() + static_cast<size_t>(in_commit_) < depth;
-      });
-    }
-    pipe_.push_back(std::move(item));
-    pipeline_occupancy_metric_->Set(
-        static_cast<int64_t>(pipe_.size()) + in_commit_);
+  if (!pipe_->TryPush(std::move(item))) {
+    // Backpressure: the commit stage is the bottleneck — block instead of
+    // letting prepared epochs (and their pinned payloads) pile up. A failed
+    // TryPush leaves `item` intact.
+    stats_.pipeline_stalls.fetch_add(1, std::memory_order_relaxed);
+    pipeline_stalls_metric_->Add(1);
+    pipe_->Push(std::move(item));
   }
-  pipe_ready_cv_.notify_one();
 }
 
 void ReplayerBase::CommitItem(PipelineItem item) {
   if (!HasError()) {
     if (commit_hook_) commit_hook_(item.epoch);
-    if (item.epoch.is_heartbeat()) {
-      ProcessHeartbeat(item.epoch);
-      stats_.heartbeats.fetch_add(1, std::memory_order_relaxed);
-      heartbeats_applied_metric_->Add(1);
-      // A heartbeat means the stream is idle — have the merge worker drain
-      // any columnar backlog the publish-amortization threshold held back.
-      if (column_store_ != nullptr && !HasError()) {
-        RequestColumnPublish(item.epoch.heartbeat_ts, /*force=*/true);
-        if (item.epoch.heartbeat_ts != kInvalidTimestamp &&
-            (last_applied_ts_ == kInvalidTimestamp ||
-             item.epoch.heartbeat_ts > last_applied_ts_)) {
-          last_applied_ts_ = item.epoch.heartbeat_ts;
-        }
+    const ShippedEpoch& epoch = item.epoch;
+    const bool heartbeat = epoch.is_heartbeat();
+    if (!heartbeat) CommitEpoch(epoch, std::move(item.prepared));
+    // A failed epoch publishes nothing and posts nothing to the column
+    // merge: its dirty keys stay pending and queries resolve them through
+    // the residual path.
+    if (!HasError()) {
+      // A heartbeat rides the queue behind every data epoch shipped before
+      // it, so all data older than its timestamp is installed. A clean data
+      // epoch is installed up to its header max_commit_ts — for a sharded
+      // sub-epoch the FULL epoch's max, which keeps this shard in step with
+      // the primary even when its own last transaction commits earlier.
+      const Timestamp ts =
+          heartbeat ? epoch.heartbeat_ts : epoch.max_commit_ts;
+      AdvanceGlobalTs(ts);
+      global_ts_metric_->Set(static_cast<int64_t>(GlobalVisibleTs()));
+      // The column-merge worker reads fully installed version chains at
+      // `ts`. A heartbeat means the stream is idle, so it also drains any
+      // backlog the publish-amortization threshold held back.
+      if (column_store_ != nullptr) {
+        RequestColumnPublish(ts, /*force=*/heartbeat);
       }
-    } else {
-      CommitEpoch(item.epoch, std::move(item.prepared));
-      if (!HasError()) {
-        // Hand the epoch's dirty keys to the column-merge worker. The
-        // request is posted after every watermark of the epoch published,
-        // so the asynchronous rebuild reads fully-installed version chains
-        // at max_commit_ts; a failed epoch posts nothing and its dirty keys
-        // stay pending (queries resolve them through the residual path).
-        if (column_store_ != nullptr) {
-          RequestColumnPublish(item.epoch.max_commit_ts, /*force=*/false);
-          if (item.epoch.max_commit_ts != kInvalidTimestamp &&
-              (last_applied_ts_ == kInvalidTimestamp ||
-               item.epoch.max_commit_ts > last_applied_ts_)) {
-            last_applied_ts_ = item.epoch.max_commit_ts;
-          }
-        }
+      if (heartbeat) {
+        stats_.heartbeats.fetch_add(1, std::memory_order_relaxed);
+        heartbeats_applied_metric_->Add(1);
+      } else {
         stats_.epochs.fetch_add(1, std::memory_order_relaxed);
-        stats_.records.fetch_add(item.epoch.num_records,
-                                 std::memory_order_relaxed);
-        stats_.bytes.fetch_add(item.epoch.ByteSize(),
-                               std::memory_order_relaxed);
+        stats_.records.fetch_add(epoch.num_records, std::memory_order_relaxed);
+        stats_.bytes.fetch_add(epoch.ByteSize(), std::memory_order_relaxed);
         epochs_applied_metric_->Add(1);
-        txns_applied_metric_->Add(item.epoch.num_txns);
-        records_applied_metric_->Add(item.epoch.num_records);
-        bytes_applied_metric_->Add(item.epoch.ByteSize());
+        txns_applied_metric_->Add(epoch.num_txns);
+        records_applied_metric_->Add(epoch.num_records);
+        bytes_applied_metric_->Add(epoch.ByteSize());
       }
     }
   }
   // A dropped (post-latch) item unwinds here: destroying `prepared` quiesces
   // any translation the prepare phase left in flight, and nothing publishes.
   stats_.wall_end_us.store(MonotonicMicros());
-}
-
-void ReplayerBase::CommitLoop() {
-  for (;;) {
-    PipelineItem item;
-    {
-      std::unique_lock<std::mutex> lk(pipe_mu_);
-      pipe_ready_cv_.wait(lk, [&] { return pipe_closed_ || !pipe_.empty(); });
-      if (pipe_.empty()) return;  // closed and drained
-      item = std::move(pipe_.front());
-      pipe_.pop_front();
-      ++in_commit_;
-    }
-    pipe_space_cv_.notify_one();
-    CommitItem(std::move(item));
-    {
-      std::lock_guard<std::mutex> lk(pipe_mu_);
-      --in_commit_;
-      pipeline_occupancy_metric_->Set(
-          static_cast<int64_t>(pipe_.size()) + in_commit_);
-    }
-    pipe_space_cv_.notify_one();
-  }
 }
 
 void ReplayerBase::Ingest(ShippedEpoch epoch, PendingMap* pending,
@@ -300,34 +272,41 @@ void ReplayerBase::Ingest(ShippedEpoch epoch, PendingMap* pending,
   }
 }
 
-void ReplayerBase::RecoverGaps(PendingMap* pending) {
-  // Invariant here: pending is non-empty, so some epoch beyond
-  // expected_epoch_ arrived — the shipper definitely assigned (and
-  // retained or evicted) every id up to it. source_ is non-null, because
-  // Ingest latches instead of parking without one.
+void ReplayerBase::CloseGaps(PendingMap* pending, bool channel_closed) {
+  // Without a source Ingest latches instead of parking, and a swallowed tail
+  // cannot be seen, let alone fetched.
+  if (source_ == nullptr || HasError()) return;
+  const EpochId end = channel_closed ? source_->NextEpochId() : 0;
   int rounds_without_progress = 0;
-  while (!pending->empty() && !HasError()) {
-    EpochId gap = expected_epoch_;
-    // Reorder window: the missing epoch may be queued right behind what we
-    // already pulled (or held back by the link). Poll before NACKing.
-    SpinBackoff backoff;
-    for (int i = 0; i < recovery_.reorder_window_pauses; ++i) {
-      if (auto epoch = channel_->TryReceive()) {
-        Ingest(std::move(*epoch), pending, false);
-        if (pending->empty() || HasError()) return;
-        if (expected_epoch_ > gap) break;
-      } else {
-        backoff.Pause();
+  while (!HasError() &&
+         (channel_closed ? expected_epoch_ < end : !pending->empty())) {
+    const EpochId gap = expected_epoch_;
+    if (!channel_closed || rounds_without_progress > 0) {
+      // Reorder window: the missing epoch may be queued right behind what
+      // we already pulled (or held back by the link), so poll before
+      // NACKing. After close it is only the backoff between NACKs.
+      SpinBackoff backoff;
+      for (int i = 0; i < recovery_.reorder_window_pauses &&
+                      expected_epoch_ == gap && !HasError();
+           ++i) {
+        std::optional<ShippedEpoch> epoch;
+        if (!channel_closed) epoch = channel_->TryReceive();
+        if (epoch) {
+          Ingest(std::move(*epoch), pending, false);
+        } else {
+          backoff.Pause();
+        }
+      }
+      if (expected_epoch_ > gap) {
+        rounds_without_progress = 0;
+        continue;
       }
     }
-    if (expected_epoch_ > gap) {
-      rounds_without_progress = 0;
-      continue;
-    }
     // NACK: re-fetch the gap head from the shipper's retention buffer.
-    bool fetch_missed = false;
-    if (auto epoch = source_->FetchEpoch(gap)) {
-      Ingest(std::move(*epoch), pending, true);
+    std::optional<ShippedEpoch> fetched = source_->FetchEpoch(gap);
+    const bool fetch_missed = !fetched.has_value();
+    if (fetched) {
+      Ingest(std::move(*fetched), pending, true);
       if (expected_epoch_ > gap) {
         rounds_without_progress = 0;
         continue;
@@ -342,84 +321,23 @@ void ReplayerBase::RecoverGaps(PendingMap* pending) {
           std::to_string(source_->FloorEpochId()) +
           "; a checkpoint image covers it — bootstrap from that image"));
       return;
-    } else {
-      // A miss is not proof of loss: over a socket source the same nullopt
-      // also covers a timed-out NACK RPC, and latching on the first one
-      // would poison the replayer on a transient stall. Burn a retry round
-      // (the reorder-window poll above is the backoff) and only conclude
-      // eviction once the budget is spent.
-      fetch_missed = true;
     }
+    // A miss is not proof of loss: over a socket source the same nullopt
+    // also covers a timed-out NACK RPC, and latching on the first one would
+    // poison the replayer on a transient stall. Only a spent retry budget
+    // concludes eviction.
     if (++rounds_without_progress >= recovery_.max_retries) {
-      if (fetch_missed) {
-        SetError(Status::Corruption(
-            "epoch " + std::to_string(gap) +
-            " lost in transit and evicted from the shipper's retention "
-            "buffer (" + std::to_string(recovery_.max_retries) +
-            " NACK attempts); re-bootstrap from a checkpoint"));
-      } else {
-        SetError(Status::Corruption(
-            "epoch gap at " + std::to_string(gap) + " persisted after " +
-            std::to_string(recovery_.max_retries) + " recovery rounds"));
-      }
-      return;
-    }
-  }
-}
-
-void ReplayerBase::FinalDrain(PendingMap* pending) {
-  if (source_ == nullptr) {
-    // Unreachable in practice: without a source Ingest latches on the first
-    // out-of-order id, so nothing is ever parked. Kept as a backstop.
-    if (!pending->empty()) {
       SetError(Status::Corruption(
-          "channel closed with an epoch gap at " +
-          std::to_string(expected_epoch_) + " (no retransmission source)"));
-    }
-    return;
-  }
-  // The channel is closed and drained, so the shipper has finished: every id
-  // in [0, end) was handed to the link, and anything we have not applied was
-  // swallowed by it. Pull the remainder straight from retention. As in
-  // RecoverGaps, a fetch miss is retried with backoff before it is treated
-  // as eviction — over a socket source nullopt also covers a transient
-  // timeout on the NACK RPC.
-  EpochId end = source_->NextEpochId();
-  int fetch_misses = 0;
-  SpinBackoff miss_backoff;
-  while (!HasError() && expected_epoch_ < end) {
-    auto it = pending->find(expected_epoch_);
-    if (it != pending->end()) {
-      ShippedEpoch epoch = std::move(it->second);
-      pending->erase(it);
-      Ingest(std::move(epoch), pending, false);
-      fetch_misses = 0;
-      continue;
-    }
-    if (auto epoch = source_->FetchEpoch(expected_epoch_)) {
-      Ingest(std::move(*epoch), pending, true);
-      fetch_misses = 0;
-      miss_backoff = SpinBackoff();
-      continue;
-    }
-    if (expected_epoch_ < source_->FloorEpochId()) {
-      SetError(Status::BelowCheckpoint(
-          "epoch " + std::to_string(expected_epoch_) +
-          " is below the durable log's truncation floor " +
-          std::to_string(source_->FloorEpochId()) +
-          "; a checkpoint image covers it — bootstrap from that image"));
+          fetch_missed
+              ? "epoch " + std::to_string(gap) +
+                    " lost in transit and evicted from the shipper's "
+                    "retention buffer (" +
+                    std::to_string(recovery_.max_retries) +
+                    " NACK attempts); re-bootstrap from a checkpoint"
+              : "epoch gap at " + std::to_string(gap) + " persisted after " +
+                    std::to_string(recovery_.max_retries) +
+                    " recovery rounds"));
       return;
-    }
-    if (++fetch_misses >= recovery_.max_retries) {
-      SetError(Status::Corruption(
-          "epoch " + std::to_string(expected_epoch_) +
-          " lost in transit and evicted from the shipper's retention buffer "
-          "(" + std::to_string(recovery_.max_retries) +
-          " NACK attempts); re-bootstrap from a checkpoint"));
-      return;
-    }
-    for (int i = 0; i < recovery_.reorder_window_pauses; ++i) {
-      miss_backoff.Pause();
     }
   }
 }
@@ -433,16 +351,10 @@ void ReplayerBase::MainLoop() {
     // watermark moves.
     if (HasError()) continue;
     Ingest(std::move(*epoch), &pending, false);
-    if (!pending.empty() && !HasError()) RecoverGaps(&pending);
+    CloseGaps(&pending, /*channel_closed=*/false);
   }
-  if (!HasError()) FinalDrain(&pending);
-  if (pipeline_depth_ > 1) {
-    {
-      std::lock_guard<std::mutex> lk(pipe_mu_);
-      pipe_closed_ = true;
-    }
-    pipe_ready_cv_.notify_all();
-  }
+  CloseGaps(&pending, /*channel_closed=*/true);
+  if (pipe_ != nullptr) pipe_->Close();
 }
 
 void ReplayerBase::RequestColumnPublish(Timestamp ts, bool force) {

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -12,6 +11,7 @@
 #include <thread>
 
 #include "aets/catalog/catalog.h"
+#include "aets/common/queue.h"
 #include "aets/log/shipped_epoch.h"
 #include "aets/obs/metrics.h"
 #include "aets/replay/replayer.h"
@@ -39,32 +39,35 @@ struct ReplayRecoveryOptions {
   size_t max_pending = 1024;
 };
 
-/// The scaffolding every replayer shares — previously copy-pasted across
-/// AETS, ATR, C5, and the serial oracle. Owns:
+/// The scaffolding every replayer shares. Owns:
 ///
 ///  - the epoch-ordered main loop: payload-CRC verification on receive,
-///    epoch-id sequencing, wall-clock stats, heartbeat routing, and the
-///    per-epoch volume counters and metrics;
+///    epoch-id sequencing, wall-clock stats, and the per-epoch volume
+///    counters and metrics;
+///  - the global watermark (global_cmt_ts): raised on every heartbeat and
+///    after every clean data epoch to the epoch header's max_commit_ts, with
+///    the `replay.global_visible_ts` gauge. Subclasses that publish
+///    transaction by transaction (ATR, C5, Serial) raise it through
+///    AdvanceGlobalTs; by default every table publishes this one watermark;
 ///  - the cross-epoch pipeline (DESIGN.md §9): each in-order epoch is split
 ///    into a prepare phase (PrepareEpoch — dispatch/decode/translate launch,
 ///    runs on the main loop thread) and a commit phase (CommitEpoch — version
 ///    install + watermark publication). With pipeline_depth > 1 a dedicated
-///    commit thread consumes a bounded in-order queue of prepared epochs, so
+///    commit thread pops a BlockingQueue of prepared epochs, so
 ///    receive/CRC/dispatch/translation of epoch N+1 overlaps the commit of
-///    epoch N. The queue bound is the backpressure: when depth epochs are in
-///    flight the main loop blocks in ApplyNext (counted in
-///    ReplayStats::pipeline_stalls / pipeline.stalls). Commit order — and
-///    therefore every watermark publication — stays strictly epoch-ordered
-///    because the single commit context pops the queue FIFO;
+///    epoch N. The queue holds depth - 1 epochs and the commit thread one
+///    more; when both are full the main loop blocks in ApplyNext (counted in
+///    ReplayStats::pipeline_stalls / pipeline.stalls). Heartbeats ride the
+///    same FIFO queue, so every watermark publication stays epoch-ordered;
 ///  - the loss-recovery protocol. The channel may drop, duplicate, reorder,
 ///    or corrupt epochs; the loop skips already-applied ids (duplicates),
-///    buffers early arrivals, and fills gaps by first waiting a bounded
-///    reorder window on the channel and then NACK-fetching the missing id
-///    from the attached EpochSource (the shipper's retention buffer). After
-///    the channel closes, any tail the link swallowed is pulled the same
-///    way, so a finished replayer is either byte-equal to the primary or
-///    has a latched error — never silently short. Without an EpochSource
-///    the pre-recovery behavior stands: any anomaly is terminal;
+///    buffers early arrivals, and closes gaps in one routine (CloseGaps):
+///    a bounded reorder wait on the live channel, then NACK fetches of the
+///    missing id from the attached EpochSource (the shipper's retention
+///    buffer). After the channel closes the same routine pulls any tail the
+///    link swallowed, so a finished replayer is either byte-equal to the
+///    primary or has a latched error — never silently short. Without an
+///    EpochSource any anomaly is terminal;
 ///  - the sticky error latch, with a lock-free HasError() fast check the
 ///    hot loops poll — once it trips, the main loop stops applying and
 ///    drains the channel without installing anything (the channel is
@@ -77,10 +80,9 @@ struct ReplayRecoveryOptions {
 ///    mutex, Stop() is idempotent, and a failed StartWorkers() leaves the
 ///    replayer cleanly un-started.
 ///
-/// Subclasses implement PrepareEpoch/CommitEpoch/ProcessHeartbeat, and
-/// optionally StartWorkers/StopWorkers for their thread pools. Their
-/// destructors must call Stop() (so the virtual StopWorkers still
-/// dispatches).
+/// Subclasses implement PrepareEpoch/CommitEpoch, and optionally
+/// StartWorkers/StopWorkers for their thread pools. Their destructors must
+/// call Stop() (so the virtual StopWorkers still dispatches).
 class ReplayerBase : public Replayer {
  public:
   ReplayerBase(const Catalog* catalog, EpochChannel* channel, std::string name);
@@ -104,6 +106,16 @@ class ReplayerBase : public Replayer {
 
   Status Start() final;
   void Stop() final;
+
+  /// Every transaction with commit_ts <= this is installed on every table.
+  Timestamp GlobalVisibleTs() const final {
+    return global_ts_.load(std::memory_order_acquire);
+  }
+  /// One watermark for the whole backup unless a subclass publishes per
+  /// table ahead of it (AETS).
+  Timestamp TableVisibleTs(TableId /*table*/) const override {
+    return GlobalVisibleTs();
+  }
 
   TableStore* store() override { return &store_; }
   const ReplayStats& stats() const override { return stats_; }
@@ -184,10 +196,9 @@ class ReplayerBase : public Replayer {
   virtual void CommitEpoch(const ShippedEpoch& epoch,
                            std::unique_ptr<PreparedEpoch> prepared) = 0;
 
-  /// Publishes a heartbeat timestamp to the visibility watermark(s). Runs on
-  /// the commit context, ordered with CommitEpoch — a heartbeat never
-  /// overtakes the data epoch shipped before it.
-  virtual void ProcessHeartbeat(const ShippedEpoch& epoch) = 0;
+  /// Raises the global watermark to `ts` (max-guarded, so a sharded
+  /// sub-epoch's header max that already ran ahead is never undone).
+  void AdvanceGlobalTs(Timestamp ts) { StoreMaxTimestamp(global_ts_, ts); }
 
   void SetError(Status status);
 
@@ -233,15 +244,14 @@ class ReplayerBase : public Replayer {
   /// Commits (or, post-latch, drains) one pipeline item and maintains the
   /// per-epoch stats/metrics. Runs on the commit context.
   void CommitItem(PipelineItem item);
-  /// Commit-thread body at pipeline_depth > 1: pops the queue FIFO until it
-  /// is closed and drained.
-  void CommitLoop();
-  /// Closes the gap at expected_epoch_ while the channel is live: bounded
-  /// reorder wait, then NACK via the EpochSource, then the error latch.
-  void RecoverGaps(PendingMap* pending);
-  /// After the channel closed: drain parked epochs and NACK-fetch whatever
-  /// the link swallowed up to the source's NextEpochId().
-  void FinalDrain(PendingMap* pending);
+  /// Closes the gap at expected_epoch_ through the EpochSource. While the
+  /// channel is live a gap is open while early epochs are parked: each round
+  /// polls the channel for a bounded reorder window, then NACKs. Once
+  /// `channel_closed`, every id below the source's NextEpochId() was handed
+  /// to the link, so the gap runs to there and each round just NACKs, with
+  /// the window as backoff between misses. Latches after max_retries rounds
+  /// without progress, or at once below the source's truncation floor.
+  void CloseGaps(PendingMap* pending, bool channel_closed);
 
   std::string name_;
 
@@ -249,10 +259,8 @@ class ReplayerBase : public Replayer {
   /// unless EnableColumnStore was called. Published only by the single
   /// commit context, read by any query thread.
   std::unique_ptr<storage::ColumnStore> column_store_;
-  /// Newest timestamp the commit context fully applied (epoch max or
-  /// heartbeat) — the watermark of the shutdown column-store flush. Written
-  /// only by the commit context; Stop() reads it after joining.
-  Timestamp last_applied_ts_ = kInvalidTimestamp;
+  /// global_cmt_ts, raised only through AdvanceGlobalTs.
+  std::atomic<Timestamp> global_ts_{kInvalidTimestamp};
 
   EpochSource* source_ = nullptr;
   ReplayRecoveryOptions recovery_;
@@ -271,15 +279,12 @@ class ReplayerBase : public Replayer {
   obs::Counter* pipeline_stalls_metric_;
   obs::Gauge* pipeline_depth_metric_;
   obs::Gauge* pipeline_occupancy_metric_;
+  obs::Gauge* global_ts_metric_;
 
-  /// Prepare→commit hand-off (pipeline_depth > 1 only). Occupancy is
-  /// pipe_.size() + in_commit_; ApplyNext blocks while it equals the depth.
-  std::mutex pipe_mu_;
-  std::condition_variable pipe_ready_cv_;
-  std::condition_variable pipe_space_cv_;
-  std::deque<PipelineItem> pipe_;
-  int in_commit_ = 0;
-  bool pipe_closed_ = false;
+  /// Prepare→commit hand-off (pipeline_depth > 1 only), capacity depth - 1:
+  /// with the item the commit thread holds, at most depth epochs are in
+  /// flight.
+  std::unique_ptr<BlockingQueue<PipelineItem>> pipe_;
 
   std::thread main_thread_;
   std::thread commit_thread_;

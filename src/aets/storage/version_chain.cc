@@ -9,6 +9,7 @@ void MemNode::AppendVersion(VersionCell cell) {
   AETS_CHECK_MSG(versions_.empty() || versions_.back().commit_ts <= cell.commit_ts,
                  "version chain must be appended in commit-ts order");
   versions_.push_back(std::move(cell));
+  ++appends_;
 }
 
 std::optional<Row> MemNode::ReadVisible(Timestamp ts) const {
@@ -42,6 +43,11 @@ Timestamp MemNode::LastCommitTs() const {
 size_t MemNode::NumVersions() const {
   SpinGuard guard(latch_);
   return versions_.size();
+}
+
+uint64_t MemNode::AppendCount() const {
+  SpinGuard guard(latch_);
+  return appends_;
 }
 
 size_t MemNode::TruncateBefore(Timestamp watermark) {

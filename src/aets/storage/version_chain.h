@@ -50,15 +50,20 @@ class MemNode {
   /// (never inserted yet, or deleted).
   std::optional<Row> ReadVisible(Timestamp ts) const;
 
-  /// The newest committed version's txn id, or kInvalidTxnId when empty.
-  /// ATR's operation-sequence check compares this against the log's
-  /// before-image txn id.
+  /// The newest committed version's txn id, or kInvalidTxnId when empty. The
+  /// primary logs it as each write's before-image txn id (prev_txn_id).
   TxnId LastWriterTxn() const;
 
   /// The newest committed version's timestamp.
   Timestamp LastCommitTs() const;
 
   size_t NumVersions() const;
+
+  /// Versions ever appended to this node. Unlike NumVersions, GC never
+  /// lowers it, so it is the per-row modification sequence: the primary logs
+  /// it as each write's row_seq, and ATR's operation-sequence check waits
+  /// for the backup node to reach it.
+  uint64_t AppendCount() const;
 
   /// Garbage-collects versions no snapshot at or above `watermark` can ever
   /// read: drops every version older than the newest version with
@@ -72,6 +77,8 @@ class MemNode {
  private:
   int64_t row_key_;
   mutable SpinLatch latch_;
+  /// 32 bits fit in the latch's padding; primary and backup wrap alike.
+  uint32_t appends_ = 0;
   std::vector<VersionCell> versions_;  // ascending commit_ts
 };
 

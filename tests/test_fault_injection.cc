@@ -419,34 +419,54 @@ TEST(ShipperTest, ConservationProducedEqualsShippedPlusDropped) {
   std::filesystem::remove_all(dir);
 }
 
+// Where a lost epoch sits decides which side of the gap loop meets it. A
+// head hole (epoch 0) is found while the channel is live, once later epochs
+// park behind it; a tail hole (epoch 1 onward, nothing after it arrives) is
+// found only after the channel closed, against the source's NextEpochId().
+enum class Hole { kHead, kTail };
+
+// Sends `epochs` minus the hole, then closes the channel.
+void SendAroundHole(const std::vector<ShippedEpoch>& epochs, Hole hole,
+                    EpochChannel* channel) {
+  for (size_t i = 0; i < epochs.size(); ++i) {
+    bool lost = hole == Hole::kHead ? i == 0 : i >= 1;
+    if (!lost) {
+      ASSERT_TRUE(channel->Send(epochs[i]));
+    }
+  }
+  channel->Close();
+}
+
 TEST(RecoveryTest, EvictedEpochIsACleanTerminalError) {
   // The loss is older than the retention window and no durable tier is
   // attached: recovery must fail loudly (re-bootstrap guidance), never
-  // silently skip.
-  constexpr int kTables = 2;
-  std::unique_ptr<Catalog> catalog(MakeCatalog(kTables));
-  LogicalClock clock;
-  PrimaryDb db(catalog.get(), &clock);
-  LogShipper shipper(/*epoch_size=*/4, /*retention_capacity=*/2);
-  db.SetCommitSink([&](TxnLog txn) { shipper.OnCommit(std::move(txn)); });
-  auto epochs = RecordWorkload(&db, &shipper, kTables, 200, test::DeriveSeed(51));
-  ASSERT_GT(epochs.size(), 8u);
+  // silently skip — wherever in the stream the hole sits.
+  for (Hole hole : {Hole::kHead, Hole::kTail}) {
+    SCOPED_TRACE(hole == Hole::kHead ? "head hole" : "tail hole");
+    constexpr int kTables = 2;
+    std::unique_ptr<Catalog> catalog(MakeCatalog(kTables));
+    LogicalClock clock;
+    PrimaryDb db(catalog.get(), &clock);
+    LogShipper shipper(/*epoch_size=*/4, /*retention_capacity=*/2);
+    db.SetCommitSink([&](TxnLog txn) { shipper.OnCommit(std::move(txn)); });
+    auto epochs =
+        RecordWorkload(&db, &shipper, kTables, 200, test::DeriveSeed(51));
+    ASSERT_GT(epochs.size(), 8u);
 
-  EpochChannel channel(0);
-  for (size_t i = 1; i < epochs.size(); ++i) {  // epoch 0 lost forever
-    ASSERT_TRUE(channel.Send(epochs[i]));
+    EpochChannel channel(0);
+    SendAroundHole(epochs, hole, &channel);
+
+    SerialReplayer replayer(catalog.get(), &channel);
+    replayer.SetEpochSource(&shipper);
+    replayer.SetRecoveryOptions(FastRecovery());
+    ASSERT_TRUE(replayer.Start().ok());
+    replayer.Stop();
+
+    EXPECT_TRUE(replayer.error().IsCorruption())
+        << replayer.error().ToString();
+    EXPECT_NE(replayer.error().ToString().find("evicted"), std::string::npos)
+        << replayer.error().ToString();
   }
-  channel.Close();
-
-  SerialReplayer replayer(catalog.get(), &channel);
-  replayer.SetEpochSource(&shipper);
-  replayer.SetRecoveryOptions(FastRecovery());
-  ASSERT_TRUE(replayer.Start().ok());
-  replayer.Stop();
-
-  EXPECT_TRUE(replayer.error().IsCorruption()) << replayer.error().ToString();
-  EXPECT_NE(replayer.error().ToString().find("evicted"), std::string::npos)
-      << replayer.error().ToString();
 }
 
 TEST(RecoveryTest, NackBelowTruncationFloorIsBelowCheckpointNotLoss) {
@@ -454,50 +474,53 @@ TEST(RecoveryTest, NackBelowTruncationFloorIsBelowCheckpointNotLoss) {
   // already dropped the oldest segments. A NACK for an epoch below the
   // truncation floor must come back as BelowCheckpoint — the epoch is
   // covered by a checkpoint image, so the replayer should be told to
-  // re-bootstrap, never misdiagnose Corruption or permanent loss.
-  constexpr int kTables = 2;
-  std::unique_ptr<Catalog> catalog(MakeCatalog(kTables));
-  LogicalClock clock;
-  PrimaryDb db(catalog.get(), &clock);
+  // re-bootstrap, never misdiagnose Corruption or permanent loss — wherever
+  // in the stream the hole sits.
+  for (Hole hole : {Hole::kHead, Hole::kTail}) {
+    SCOPED_TRACE(hole == Hole::kHead ? "head hole" : "tail hole");
+    constexpr int kTables = 2;
+    std::unique_ptr<Catalog> catalog(MakeCatalog(kTables));
+    LogicalClock clock;
+    PrimaryDb db(catalog.get(), &clock);
 
-  std::string dir = TempPath("below_ckpt_seg");
-  std::filesystem::remove_all(dir);
-  SegmentStoreOptions seg_options;
-  seg_options.dir = dir;
-  seg_options.segment_max_bytes = 1024;  // several sealed segments
-  auto store = SegmentStore::Open(seg_options);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
+    std::string dir = TempPath("below_ckpt_seg");
+    std::filesystem::remove_all(dir);
+    SegmentStoreOptions seg_options;
+    seg_options.dir = dir;
+    seg_options.segment_max_bytes = 1024;  // several sealed segments
+    auto store = SegmentStore::Open(seg_options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
 
-  LogShipper shipper(/*epoch_size=*/4, /*retention_capacity=*/2);
-  shipper.AttachSegmentStore(store->get());
-  db.SetCommitSink([&](TxnLog txn) { shipper.OnCommit(std::move(txn)); });
-  auto epochs = RecordWorkload(&db, &shipper, kTables, 200, test::DeriveSeed(51));
-  ASSERT_GT(epochs.size(), 8u);
+    LogShipper shipper(/*epoch_size=*/4, /*retention_capacity=*/2);
+    shipper.AttachSegmentStore(store->get());
+    db.SetCommitSink([&](TxnLog txn) { shipper.OnCommit(std::move(txn)); });
+    auto epochs =
+        RecordWorkload(&db, &shipper, kTables, 200, test::DeriveSeed(51));
+    ASSERT_GT(epochs.size(), 8u);
 
-  // Truncate under (simulated) checkpoint coverage: epoch 0 leaves the disk.
-  ASSERT_TRUE((*store)->TruncateBelow((*store)->next_epoch()).ok());
-  ASSERT_GT((*store)->first_epoch(), 0u);
-  EXPECT_EQ(shipper.FloorEpochId(), (*store)->first_epoch());
+    // Truncate under (simulated) checkpoint coverage: the hole's first
+    // epoch (0 or 1) leaves the disk.
+    ASSERT_TRUE((*store)->TruncateBelow((*store)->next_epoch()).ok());
+    ASSERT_GT((*store)->first_epoch(), 1u);
+    EXPECT_EQ(shipper.FloorEpochId(), (*store)->first_epoch());
 
-  EpochChannel channel(0);
-  for (size_t i = 1; i < epochs.size(); ++i) {  // epoch 0 NACKs a hole
-    ASSERT_TRUE(channel.Send(epochs[i]));
+    EpochChannel channel(0);
+    SendAroundHole(epochs, hole, &channel);
+
+    SerialReplayer replayer(catalog.get(), &channel);
+    replayer.SetEpochSource(&shipper);
+    replayer.SetRecoveryOptions(FastRecovery());
+    ASSERT_TRUE(replayer.Start().ok());
+    replayer.Stop();
+
+    EXPECT_TRUE(replayer.error().IsBelowCheckpoint())
+        << replayer.error().ToString();
+    EXPECT_FALSE(replayer.error().IsCorruption());
+    EXPECT_NE(replayer.error().ToString().find("truncation floor"),
+              std::string::npos)
+        << replayer.error().ToString();
+    std::filesystem::remove_all(dir);
   }
-  channel.Close();
-
-  SerialReplayer replayer(catalog.get(), &channel);
-  replayer.SetEpochSource(&shipper);
-  replayer.SetRecoveryOptions(FastRecovery());
-  ASSERT_TRUE(replayer.Start().ok());
-  replayer.Stop();
-
-  EXPECT_TRUE(replayer.error().IsBelowCheckpoint())
-      << replayer.error().ToString();
-  EXPECT_FALSE(replayer.error().IsCorruption());
-  EXPECT_NE(replayer.error().ToString().find("truncation floor"),
-            std::string::npos)
-      << replayer.error().ToString();
-  std::filesystem::remove_all(dir);
 }
 
 TEST(ShipperTest, ConservationHoldsWhenSpillsLandBelowTheFloor) {

@@ -39,6 +39,8 @@ TEST(TruncateBeforeTest, FoldsPrefixIntoBase) {
   // Watermark 30: versions at 10 and 20 fold into the version at 30.
   EXPECT_EQ(node.TruncateBefore(30), 2u);
   EXPECT_EQ(node.NumVersions(), 2u);
+  // The append count is the row's modification sequence: GC leaves it alone.
+  EXPECT_EQ(node.AppendCount(), 4u);
   // Reads at/above the base are unchanged.
   Row at30 = *node.ReadVisible(30);
   EXPECT_EQ(at30.at(0).as_int64(), 3);
@@ -48,6 +50,7 @@ TEST(TruncateBeforeTest, FoldsPrefixIntoBase) {
   // Appending after truncation keeps working.
   node.AppendVersion(Cell(50, 5, {{0, Value(int64_t{5})}}));
   EXPECT_EQ(node.ReadVisible(50)->at(0).as_int64(), 5);
+  EXPECT_EQ(node.AppendCount(), 5u);
 }
 
 TEST(TruncateBeforeTest, NothingToDoCases) {

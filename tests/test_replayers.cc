@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <memory>
@@ -542,6 +543,71 @@ TEST_P(LivePipelineSweep, HeartbeatsAndGcPreserveEquivalence) {
 INSTANTIATE_TEST_SUITE_P(Seeds, LivePipelineSweep,
                          ::testing::Values(1u, 2u, 3u, 4u));
 
+// Polls until the replayer's global watermark reaches `ts`; false once
+// `deadline_ms` passed.
+bool WaitGlobalTs(const Replayer& replayer, Timestamp ts, int deadline_ms) {
+  auto deadline = std::chrono::steady_clock::now() +
+                  std::chrono::milliseconds(deadline_ms);
+  while (replayer.GlobalVisibleTs() < ts) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(AtrReplayerTest, OperationSequenceSurvivesGcBetweenWritesOfOneRow) {
+  // Lockstep: write a row twice, let ATR apply both, fold the row's chain
+  // with a backup GC pass, then write the row a third time. ATR may install
+  // that write only once the node reached the write's row_seq, so the
+  // sequence must count appends, not the versions GC left behind. A missed
+  // deadline trips the error latch with a damaged epoch — the one exit of
+  // ATR's operation-sequence spin — so a livelock fails the test instead of
+  // hanging it.
+  std::unique_ptr<Catalog> catalog(MakeCatalog(1));
+  Pipeline pipeline(catalog.get(), /*epoch_size=*/1);
+  EpochChannel* channel = pipeline.AddChannel();
+  AtrReplayer replayer(catalog.get(), channel, AtrOptions{/*workers=*/2});
+  ASSERT_TRUE(replayer.Start().ok());
+
+  auto write_row = [&pipeline](int64_t value) {
+    PrimaryTxn txn = pipeline.db.Begin();
+    if (value == 0) {
+      txn.Insert(0, /*key=*/7, {{0, Value(value)}, {1, Value("v")}});
+    } else {
+      txn.Update(0, /*key=*/7, {{0, Value(value)}});
+    }
+    ASSERT_TRUE(pipeline.db.Commit(std::move(txn)).ok());
+  };
+  constexpr int kDeadlineMs = 10'000;
+  write_row(0);
+  write_row(1);
+  bool caught_up =
+      WaitGlobalTs(replayer, pipeline.db.last_commit_ts(), kDeadlineMs);
+  EXPECT_TRUE(caught_up);
+  if (caught_up) {
+    EXPECT_GE(replayer.store()->GarbageCollect(replayer.GlobalVisibleTs()),
+              1u);
+    write_row(2);
+    caught_up =
+        WaitGlobalTs(replayer, pipeline.db.last_commit_ts(), kDeadlineMs);
+    EXPECT_TRUE(caught_up) << "ATR livelocked on the GC-folded row";
+  }
+  if (!caught_up) {
+    ShippedEpoch damaged = MakeHeartbeatEpoch(/*id=*/1'000'000, /*ts=*/1);
+    damaged.payload_crc ^= 1;
+    channel->Send(damaged);
+  }
+  pipeline.shipper.Finish();
+  replayer.Stop();
+
+  if (caught_up) {
+    EXPECT_TRUE(replayer.error().ok()) << replayer.error().ToString();
+    Timestamp final_ts = pipeline.db.last_commit_ts();
+    EXPECT_EQ(replayer.store()->DigestAt(final_ts),
+              pipeline.db.store().DigestAt(final_ts));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Cross-epoch pipeline (DESIGN.md §9)
 // ---------------------------------------------------------------------------
@@ -740,6 +806,102 @@ TEST(PipelineTest, QuietTableWatermarkFrozenByStageFailure) {
   // epoch's max commit timestamp (the leak this PR fixes).
   EXPECT_EQ(replayer.TableVisibleTs(1), kInvalidTimestamp);
   EXPECT_EQ(replayer.GlobalVisibleTs(), kInvalidTimestamp);
+}
+
+// ---------------------------------------------------------------------------
+// Epoch framing
+// ---------------------------------------------------------------------------
+
+// A CRC-valid epoch whose one "transaction" carries `records` verbatim.
+ShippedEpoch MakeRawEpoch(EpochId id, Timestamp commit_ts,
+                          std::vector<LogRecord> records) {
+  Epoch epoch;
+  epoch.epoch_id = id;
+  TxnLog txn;
+  txn.txn_id = commit_ts;
+  txn.commit_ts = commit_ts;
+  txn.records = std::move(records);
+  epoch.txns.push_back(std::move(txn));
+  return EncodeEpoch(epoch);
+}
+
+TEST(FramingTest, MalformedEpochsLatchOneErrorOnEveryReplayer) {
+  // Every replayer walks an epoch's BEGIN/DML/COMMIT framing through the same
+  // rule: a clean epoch at ts 10 applies, then a CRC-valid epoch with broken
+  // framing latches the same Corruption everywhere, and no watermark moves
+  // past 10. Each DML writes its own row, so a replayer that wrongly accepts
+  // the epoch applies it instead of waiting on an operation sequence.
+  const LogRecord begin = LogRecord::Begin(11, 20, 20);
+  auto dml = [](int64_t key) {
+    return LogRecord::Dml(LogRecordType::kInsert, 12, 20, 20, /*table=*/1,
+                          key, {{0, Value(key)}});
+  };
+  const LogRecord commit = LogRecord::Commit(13, 20, 20);
+  const LogRecord heartbeat = LogRecord::Heartbeat(14, 20, 20);
+  struct Case {
+    const char* name;
+    std::vector<LogRecord> records;
+  };
+  const std::vector<Case> cases = {
+      {"DML outside transaction", {dml(1), begin, dml(2), commit}},
+      {"nested BEGIN", {begin, dml(1), begin, dml(2), commit}},
+      {"unterminated transaction", {begin, dml(1)}},
+      {"heartbeat record inside a data epoch",
+       {begin, dml(1), heartbeat, dml(2), commit}},
+  };
+  using Factory = std::function<std::unique_ptr<ReplayerBase>(
+      const Catalog*, EpochChannel*)>;
+  const std::vector<Factory> factories = {
+      [](const Catalog* c, EpochChannel* ch) {
+        AetsOptions options;
+        options.replay_threads = 2;
+        options.grouping = GroupingMode::kPerTable;
+        return std::make_unique<AetsReplayer>(c, ch, options);
+      },
+      [](const Catalog* c, EpochChannel* ch) {
+        return MakeTplrReplayer(c, ch, /*threads=*/2);
+      },
+      [](const Catalog* c, EpochChannel* ch) {
+        return std::make_unique<AtrReplayer>(c, ch, AtrOptions{2});
+      },
+      [](const Catalog* c, EpochChannel* ch) {
+        return std::make_unique<C5Replayer>(c, ch, C5Options{2, 500});
+      },
+      [](const Catalog* c, EpochChannel* ch) {
+        return std::make_unique<SerialReplayer>(c, ch);
+      },
+  };
+  constexpr int kTables = 2;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::set<std::string> errors;
+    for (const Factory& factory : factories) {
+      std::unique_ptr<Catalog> catalog(MakeCatalog(kTables));
+      EpochChannel channel(8);
+      std::unique_ptr<ReplayerBase> replayer = factory(catalog.get(), &channel);
+      ASSERT_TRUE(replayer->Start().ok());
+      channel.Send(MakeStringInsertEpoch(/*id=*/0, /*commit_ts=*/10, "clean"));
+      // Lockstep: the clean epoch commits before the malformed one can
+      // latch the error and drop it from the pipeline.
+      ASSERT_TRUE(WaitGlobalTs(*replayer, 10, /*deadline_ms=*/10'000));
+      channel.Send(MakeRawEpoch(/*id=*/1, /*commit_ts=*/20, c.records));
+      channel.Close();
+      replayer->Stop();
+
+      Status error = replayer->error();
+      EXPECT_TRUE(error.IsCorruption())
+          << replayer->name() << ": " << error.ToString();
+      EXPECT_NE(error.ToString().find(c.name), std::string::npos)
+          << replayer->name() << ": " << error.ToString();
+      EXPECT_EQ(replayer->GlobalVisibleTs(), 10u) << replayer->name();
+      for (TableId t = 0; t < kTables; ++t) {
+        EXPECT_EQ(replayer->TableVisibleTs(t), 10u) << replayer->name();
+      }
+      EXPECT_EQ(replayer->stats().epochs.load(), 1u) << replayer->name();
+      errors.insert(error.ToString());
+    }
+    EXPECT_EQ(errors.size(), 1u);
+  }
 }
 
 TEST(ReplayerStatsTest, PhaseBreakdownAccumulates) {
