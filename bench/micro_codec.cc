@@ -1,8 +1,9 @@
-// Micro-benchmarks for the value-log codec: encode, full decode, the
-// zero-copy view decode the replay hot path uses, and the metadata-only
-// decode that the AETS/ATR dispatchers use. The full-vs-metadata decode gap
-// is the root of C5's dispatcher penalty; the full-vs-view gap is what the
-// zero-copy refactor buys. Reports allocs/op via the global new counter.
+// Micro-benchmarks for the value-log codec: encode, the owning full decode
+// (the view decode materialized), the zero-copy view decode the replay hot
+// path uses, and the metadata-only decode that the AETS/ATR dispatchers use.
+// The full-vs-metadata decode gap is the root of C5's dispatcher penalty;
+// the full-vs-view gap is what the zero-copy refactor buys. Reports
+// allocs/op via the global new counter.
 
 #include "alloc_counter.h"  // must precede everything: replaces operator new
 
@@ -50,7 +51,8 @@ void BM_DecodeFull(benchmark::State& state) {
   size_t allocs_before = aets_bench::AllocCount();
   for (auto _ : state) {
     size_t offset = 0;
-    auto rec = LogCodec::Decode(buf, &offset);
+    auto view = LogCodec::DecodeView(buf, &offset);
+    LogRecord rec = view->Materialize();
     benchmark::DoNotOptimize(rec);
   }
   state.counters["allocs/op"] = benchmark::Counter(

@@ -90,7 +90,8 @@ void BM_DispatchFullImagePass(benchmark::State& state) {
   for (auto _ : state) {
     size_t offset = 0;
     while (offset < data.size()) {
-      auto rec = LogCodec::Decode(data, &offset);
+      auto view = LogCodec::DecodeView(data, &offset);
+      LogRecord rec = view->Materialize();
       benchmark::DoNotOptimize(rec);
     }
   }
@@ -114,7 +115,7 @@ BENCHMARK(BM_EncodeEpoch);
 // The two translate-stage variants below decode every DML record of the
 // epoch and produce install-ready VersionCells (what TranslateGroup hands to
 // the committer). The owning variant is the pre-refactor shape: a full
-// Decode that materializes a std::vector<ColumnValue> (string payloads and
+// decode that materializes a std::vector<ColumnValue> (string payloads and
 // all) per record. The view variant is the current hot path: DecodeView plus
 // a single-memcpy PackedDelta::FromWire.
 
@@ -127,14 +128,15 @@ void BM_TranslateEpochOwning(benchmark::State& state) {
     cells.clear();
     size_t offset = 0;
     while (offset < data.size()) {
-      auto rec = LogCodec::Decode(data, &offset);
-      AETS_CHECK(rec.ok());
-      if (!rec->is_dml()) continue;
+      auto view = LogCodec::DecodeView(data, &offset);
+      AETS_CHECK(view.ok());
+      LogRecord rec = view->Materialize();
+      if (!rec.is_dml()) continue;
       VersionCell cell;
-      cell.commit_ts = rec->timestamp;
-      cell.txn_id = rec->txn_id;
-      cell.is_delete = rec->type == LogRecordType::kDelete;
-      cell.delta = PackedDelta::FromColumnValues(rec->values);
+      cell.commit_ts = rec.timestamp;
+      cell.txn_id = rec.txn_id;
+      cell.is_delete = rec.type == LogRecordType::kDelete;
+      cell.delta = PackedDelta::FromColumnValues(rec.values);
       cells.push_back(std::move(cell));
     }
     benchmark::DoNotOptimize(cells.data());

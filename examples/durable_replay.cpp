@@ -3,40 +3,48 @@
 // scripts/endurance_check.sh).
 //
 // Three modes over one seeded, fully deterministic workload (no wall-clock
-// heartbeats — epoch ids and commit timestamps depend only on --seed):
+// heartbeats — epoch ids and commit timestamps depend only on --seed). The
+// backup is always --shard_count AETS lanes behind a ShardedBackup (one by
+// default), each lane with its own sub-epoch stream, segment directory and
+// NACK source:
 //
 //   run      Streams the workload through primary -> LogShipper (durable
-//            segment tier attached, small RAM retention) -> AetsReplayer,
-//            pacing itself so a kill -9 lands mid-stream, and writing live
-//            checkpoints into the segment directory between epochs. The
-//            gauntlet kills this process at a seeded random point.
+//            segment tier attached, small RAM retention) -> backup, pacing
+//            itself so a kill -9 lands mid-stream, and writing live
+//            checkpoints of every lane between epochs. The gauntlet kills
+//            this process at a seeded random point.
 //
 //   digest   The uninterrupted reference: same pipeline run to completion,
 //            then one line per data epoch
 //                EPOCH <id> <max_commit_ts> <digest>
-//            and a FINAL line. Digests are TableStore::DigestAt at each
-//            epoch's max commit timestamp (valid historically: no GC here).
+//            and a FINAL line. Digests are ReplicaDigestAt (each table read
+//            from its owning lane) at each epoch's max commit timestamp
+//            (valid historically: no GC here).
 //
-//   recover  Reopens the segment directory after a crash: SegmentStore::Open
-//            truncates any torn tail, the newest restorable checkpoint
-//            bootstraps a fresh replayer, and the segment tail replays
-//            through the normal main loop via DurableEpochSource. Verifies
-//            the recovered store against the sim oracle's ReferenceModel
+//   recover  Reopens every lane's segment directory after a crash:
+//            SegmentStore::Open truncates any torn tail, the newest
+//            restorable checkpoint bootstraps the lane, and the lane's tail
+//            replays through the normal main loop via DurableEpochSource.
+//            Verifies each lane against the sim oracle's ReferenceModel
 //            (exact rows, not just a digest) and prints
 //                RECOVERED next_epoch=<n> ts=<ts> digest=<d> fetches=<f>
 //                          tail=<n> torn=<n> floor=<f>
 //            for the gauntlet to match against the reference EPOCH table.
 //
+// A lane's directory is --dir itself with one lane, <dir>/shard<k> with
+// more.
+//
 // With --disk_budget B > 0 the shipper's CheckpointTrigger fires whenever a
 // lane's durable log exceeds B bytes; the driver then seals the open epoch,
-// quiesces the backup, writes a live checkpoint image, truncates the durable
-// log below it (SegmentStore::TruncateBelow), and rotates old images. Budget
-// triggers land at deterministic txn indices (bytes appended are a pure
-// function of the seed), so run and digest modes checkpoint and truncate at
-// identical epochs and the reference EPOCH table — harvested incrementally
-// before each truncation — still covers the whole history. Recovery then has
-// to bridge the deleted prefix through the checkpoint image, which is the
-// case the endurance gauntlet exists to prove.
+// quiesces the backup, writes a live checkpoint image of that lane,
+// truncates the lane's durable log below it (SegmentStore::TruncateBelow),
+// and rotates old images. Budget checkpoints replace the --ckpt_every
+// cadence. Budget triggers land at deterministic txn indices (bytes appended
+// are a pure function of the seed), so run and digest modes checkpoint and
+// truncate at identical epochs and the reference EPOCH table — harvested
+// incrementally before each truncation — still covers the whole history.
+// Recovery then has to bridge the deleted prefix through the checkpoint
+// image, which is the case the endurance gauntlet exists to prove.
 //
 //   $ ./durable_replay run --dir /tmp/aets-seg --seed 11
 //   $ ./durable_replay recover --dir /tmp/aets-seg --seed 11
@@ -57,11 +65,11 @@
 #include "aets/obs/metrics.h"
 #include "aets/primary/primary_db.h"
 #include "aets/replay/aets_replayer.h"
-#include "aets/replay/replayer_base.h"
 #include "aets/replay/sharded_backup.h"
 #include "aets/replication/durable_source.h"
 #include "aets/replication/log_shipper.h"
 #include "aets/sim/reference_model.h"
+#include "aets/storage/checkpoint.h"
 #include "aets/storage/segment_store.h"
 
 using namespace aets;
@@ -77,16 +85,13 @@ struct Config {
   int epoch_size = 32;
   int batch = 50;          // txns per pacing step (run mode)
   int pause_us = 2000;     // sleep per pacing step (run mode)
-  int ckpt_every = 3000;   // txns between live checkpoints (run mode)
+  int ckpt_every = 3000;   // txns between epoch flushes and, in run mode
+                           // without a budget, live checkpoints
   size_t retention = 16;   // RAM retention epochs: small, to force spills
   size_t segment_max_bytes = 256u << 10;  // small, to force rollovers
-  // Backup shard count (DESIGN.md §11). 1 is the classic single-replayer
-  // pipeline the crash gauntlet drives; N > 1 runs N in-process shards, each
-  // with its own sub-epoch lane, segment directory (<dir>/shard<k>), and
-  // NACK source, behind a ShardedBackup. Without a disk budget, sharded runs
-  // skip live checkpoints (recovery is a cold per-shard replay of each
-  // lane's durable log); with one, each shard checkpoints into its own
-  // directory whenever its lane's log exceeds the budget.
+  // Backup lanes (DESIGN.md §11): N in-process AETS shards behind a
+  // ShardedBackup, each with its own sub-epoch lane, segment directory, NACK
+  // source and checkpoint images. One lane is the single backup.
   int shard_count = 1;
   // Per-lane durable-log budget in bytes (SegmentStoreOptions::
   // disk_budget_bytes). 0 disables truncation entirely — the pre-budget
@@ -97,8 +102,12 @@ struct Config {
   size_t keep_ckpts = 3;
 };
 
-std::string ShardDir(const std::string& dir, int shard) {
-  return dir + "/shard" + std::to_string(shard);
+// A lane's segment and checkpoint directory: --dir itself with one lane (the
+// gauntlet's damage cases address <dir>/seg-*.log and <dir>/MANIFEST),
+// <dir>/shard<k> with more.
+std::string LaneDir(const Config& cfg, int shard) {
+  if (cfg.shard_count == 1) return cfg.dir;
+  return cfg.dir + "/shard" + std::to_string(shard);
 }
 
 // Deterministic splitmix64 — the driver must replay identically on every
@@ -154,13 +163,20 @@ void ApplyOneTxn(PrimaryDb* db, Rng* rng, int num_tables,
   }
 }
 
-AetsOptions ReplayOptions(int num_tables) {
+// The backup's total thread budget, split across lanes by
+// MakeShardedAetsBackup: two replay and two commit threads, and at least one
+// of each per lane.
+AetsOptions ReplayOptions(const Config& cfg) {
   AetsOptions options;
-  options.replay_threads = 2;
-  options.commit_threads = 2;
+  options.replay_threads = std::max(2, cfg.shard_count);
+  options.commit_threads = std::max(2, cfg.shard_count);
   options.grouping = GroupingMode::kPerTable;
-  options.initial_rates = std::vector<double>(num_tables, 1.0);
+  options.initial_rates = std::vector<double>(cfg.num_tables, 1.0);
   return options;
+}
+
+AetsReplayer* LaneReplayer(ShardedBackup* backup, int shard) {
+  return static_cast<AetsReplayer*>(backup->shard(shard));
 }
 
 uint64_t CounterValue(const char* name) {
@@ -194,87 +210,65 @@ SegmentStoreOptions StoreOptions(const Config& cfg, const std::string& dir) {
   return options;
 }
 
+// Opens (after a crash: reopens, truncating any torn tail) every lane's
+// segment store.
+bool OpenStores(const Config& cfg,
+                std::vector<std::unique_ptr<SegmentStore>>* stores) {
+  for (int s = 0; s < cfg.shard_count; ++s) {
+    auto store_or = SegmentStore::Open(StoreOptions(cfg, LaneDir(cfg, s)));
+    if (!store_or.ok()) {
+      std::fprintf(stderr, "segment store shard %d: %s\n", s,
+                   store_or.status().ToString().c_str());
+      return false;
+    }
+    stores->push_back(std::move(*store_or));
+  }
+  return true;
+}
+
 int RunMode(const Config& cfg, bool paced) {
   Catalog catalog;
   FillCatalog(&catalog, cfg.num_tables);
   LogicalClock clock;
   PrimaryDb primary(&catalog, &clock);
 
-  const int n = cfg.shard_count > 1 ? cfg.shard_count : 1;
+  const int n = cfg.shard_count;
   ShardMap map = ShardMap::Hash(static_cast<size_t>(cfg.num_tables), n);
   LogShipper shipper(cfg.epoch_size, cfg.retention);
-  if (n > 1) shipper.SetShardMap(&map);
-
+  shipper.SetShardMap(&map);
   std::vector<std::unique_ptr<SegmentStore>> stores;
-  for (int s = 0; s < n; ++s) {
-    auto store_or = SegmentStore::Open(
-        StoreOptions(cfg, n == 1 ? cfg.dir : ShardDir(cfg.dir, s)));
-    if (!store_or.ok()) {
-      std::fprintf(stderr, "segment store: %s\n",
-                   store_or.status().ToString().c_str());
-      return 2;
-    }
-    stores.push_back(std::move(*store_or));
-    if (n == 1) {
-      shipper.AttachSegmentStore(stores.back().get());
-    } else {
-      shipper.AttachShardSegmentStore(s, stores.back().get());
-    }
-  }
-
+  if (!OpenStores(cfg, &stores)) return 2;
   std::vector<std::unique_ptr<EpochChannel>> channels;
   std::vector<EpochChannel*> raw;
   for (int s = 0; s < n; ++s) {
+    shipper.AttachShardSegmentStore(s, stores[s].get());
     channels.push_back(std::make_unique<EpochChannel>());
     raw.push_back(channels.back().get());
-    if (n == 1) {
-      shipper.AttachChannel(raw.back());
-    } else {
-      shipper.AttachShardChannel(s, raw.back());
-    }
+    shipper.AttachShardChannel(s, raw.back());
   }
   primary.SetCommitSink([&](TxnLog txn) { shipper.OnCommit(std::move(txn)); });
 
-  std::unique_ptr<AetsReplayer> single;
-  std::unique_ptr<ShardedBackup> sharded;
-  if (n == 1) {
-    single = std::make_unique<AetsReplayer>(&catalog, raw[0],
-                                            ReplayOptions(cfg.num_tables));
-    single->SetEpochSource(&shipper);
-    if (!single->Start().ok()) return 2;
-  } else {
-    AetsOptions base = ReplayOptions(cfg.num_tables);
-    base.replay_threads = std::max(base.replay_threads, n);
-    base.commit_threads = std::max(base.commit_threads, n);
-    sharded = MakeShardedAetsBackup(&catalog, &map, raw, base);
-    for (int s = 0; s < n; ++s) {
-      sharded->SetShardEpochSource(s, shipper.shard_source(s));
-    }
-    if (!sharded->Start().ok()) return 2;
+  std::unique_ptr<ShardedBackup> backup =
+      MakeShardedAetsBackup(&catalog, &map, raw, ReplayOptions(cfg));
+  for (int s = 0; s < n; ++s) {
+    backup->SetShardEpochSource(s, shipper.shard_source(s));
   }
-  Replayer* backup =
-      n == 1 ? static_cast<Replayer*>(single.get()) : sharded.get();
+  if (!backup->Start().ok()) return 2;
   auto replay_error = [&]() -> Status {
-    if (n == 1) return single->error();
     for (int s = 0; s < n; ++s) {
-      Status st = dynamic_cast<ReplayerBase*>(sharded->shard(s))->error();
+      Status st = LaneReplayer(backup.get(), s)->error();
       if (!st.ok()) return st;
     }
     return Status::OK();
   };
-  auto replayer_for = [&](int s) -> AetsReplayer* {
-    return n == 1 ? single.get()
-                  : dynamic_cast<AetsReplayer*>(sharded->shard(s));
-  };
 
-  // Disk budget: the shipper's trigger marks the over-budget lane's backup;
-  // the driver consumes the mark at one deterministic point per txn (below),
-  // so paced and unpaced runs checkpoint and truncate at identical epochs.
-  if (cfg.disk_budget > 0) {
-    shipper.SetCheckpointTrigger([&](int shard, EpochId, uint64_t) {
-      replayer_for(shard)->RequestCheckpoint();
-    });
-  }
+  // Disk budget: the shipper's trigger (fired on this thread, inside
+  // OnCommit/FlushEpoch) flags the over-budget lane; the driver consumes the
+  // flag at one deterministic point per txn (below), so paced and unpaced
+  // runs checkpoint and truncate at identical epochs.
+  std::vector<bool> over_budget(static_cast<size_t>(n), false);
+  shipper.SetCheckpointTrigger(
+      [&](int shard, EpochId, uint64_t) { over_budget[shard] = true; });
 
   // The epoch table, harvested incrementally: truncation deletes the oldest
   // durable epochs, so the (id, ts) rows digest mode prints are collected
@@ -302,14 +296,57 @@ int RunMode(const Config& cfg, bool paced) {
     harvested = std::max(harvested, limit);
   };
 
+  // One checkpoint routine per lane, for the --ckpt_every cadence and the
+  // budget trigger alike: seal the open epoch, wait for the backup to catch
+  // up, image the quiesced lane, and rotate old images. A budget checkpoint
+  // (`truncate`) also deletes the lane's durable log below the image
+  // (PruneCheckpoints keeps the floor image regardless of count). The
+  // single-threaded driver guarantees no epoch ships between the watermark
+  // check and the checkpoint write.
+  auto checkpoint_lane = [&](int s, bool truncate, int txns) -> Status {
+    shipper.FlushEpoch();
+    while (replay_error().ok() &&
+           backup->GlobalVisibleTs() < primary.last_commit_ts()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    Status st = replay_error();
+    if (!st.ok()) return st;
+    AetsReplayer* lane = LaneReplayer(backup.get(), s);
+    const std::string dir = LaneDir(cfg, s);
+    EpochId floor = lane->next_expected_epoch();
+    st = lane->WriteLiveCheckpoint(CheckpointPathFor(dir, floor));
+    if (!st.ok()) return st;
+    if (truncate) {
+      harvest();  // the epochs below the new floor leave the disk now
+      st = stores[s]->TruncateBelow(floor);
+      if (!st.ok()) return st;
+    }
+    PruneCheckpoints(dir, cfg.keep_ckpts, stores[s]->first_epoch());
+    if (truncate) {
+      std::printf("TRUNC shard=%d floor=%" PRIu64 " first=%" PRIu64
+                  " deleted=%" PRIu64 " reclaimed=%" PRIu64 " disk=%" PRIu64
+                  " rss_kb=%ld txns=%d\n",
+                  s, static_cast<uint64_t>(floor),
+                  static_cast<uint64_t>(stores[s]->first_epoch()),
+                  stores[s]->segments_deleted(), stores[s]->bytes_reclaimed(),
+                  stores[s]->disk_bytes(), ReadRssKb(), txns);
+    } else {
+      std::printf("CKPT shard=%d floor=%" PRIu64 " txns=%d\n", s,
+                  static_cast<uint64_t>(floor), txns);
+    }
+    std::fflush(stdout);
+    return Status::OK();
+  };
+
   uint64_t max_disk = 0;
   Rng rng{cfg.seed};
   std::vector<std::set<int64_t>> live(cfg.num_tables);
-  for (int i = 1; i <= cfg.num_txns; ++i) {
+  Status failed;
+  for (int i = 1; i <= cfg.num_txns && failed.ok(); ++i) {
     ApplyOneTxn(&primary, &rng, cfg.num_tables, &live, i);
     if (cfg.disk_budget > 0) {
-      for (int s = 0; s < n; ++s) {
-        max_disk = std::max(max_disk, stores[s]->disk_bytes());
+      for (const auto& store : stores) {
+        max_disk = std::max(max_disk, store->disk_bytes());
       }
     }
     if (paced && i % cfg.batch == 0) {
@@ -321,78 +358,24 @@ int RunMode(const Config& cfg, bool paced) {
       // the killed run did.
       shipper.FlushEpoch();
     }
-    if (cfg.disk_budget > 0) {
-      for (int s = 0; s < n; ++s) {
-        if (!replayer_for(s)->TakeCheckpointRequest()) continue;
-        // Budget checkpoint: seal the open epoch, wait for the backup to
-        // catch up, image the quiesced shard, truncate its durable log
-        // below the image, and rotate old images (PruneCheckpoints keeps
-        // the floor image regardless of count). Runs in BOTH paced and
-        // digest modes — the trigger fires at a deterministic txn index,
-        // so the reference stream must incur the same extra flush.
-        shipper.FlushEpoch();
-        while (replay_error().ok() &&
-               backup->GlobalVisibleTs() < primary.last_commit_ts()) {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
-        if (!replay_error().ok()) break;
-        harvest();  // the epochs below the new floor leave the disk now
-        AetsReplayer* ar = replayer_for(s);
-        const std::string cdir = n == 1 ? cfg.dir : ShardDir(cfg.dir, s);
-        EpochId floor = ar->next_expected_epoch();
-        Status cs = ar->WriteLiveCheckpoint(CheckpointPathFor(cdir, floor));
-        if (!cs.ok()) {
-          std::fprintf(stderr, "budget checkpoint: %s\n",
-                       cs.ToString().c_str());
-          return 2;
-        }
-        Status trunc = stores[s]->TruncateBelow(floor);
-        if (!trunc.ok()) {
-          std::fprintf(stderr, "truncate: %s\n", trunc.ToString().c_str());
-          return 2;
-        }
-        PruneCheckpoints(cdir, cfg.keep_ckpts, stores[s]->first_epoch());
-        std::printf("TRUNC shard=%d floor=%" PRIu64 " first=%" PRIu64
-                    " deleted=%" PRIu64 " reclaimed=%" PRIu64 " disk=%" PRIu64
-                    " rss_kb=%ld txns=%d\n",
-                    s, static_cast<uint64_t>(floor),
-                    static_cast<uint64_t>(stores[s]->first_epoch()),
-                    stores[s]->segments_deleted(),
-                    stores[s]->bytes_reclaimed(), stores[s]->disk_bytes(),
-                    ReadRssKb(), i);
-        std::fflush(stdout);
-      }
-    }
-    if (paced && i % cfg.ckpt_every == 0 && n == 1 && cfg.disk_budget == 0) {
-      // Quiesce: the epoch is sealed, wait for the backup to catch up, then
-      // snapshot the live backup. The single-threaded driver guarantees no
-      // epoch ships between the watermark check and the checkpoint write.
-      // (With a disk budget the trigger path above owns the checkpoint
-      // cadence instead; without one, sharded runs skip live checkpoints:
-      // recovery cold-replays each lane.)
-      while (replay_error().ok() &&
-             backup->GlobalVisibleTs() < primary.last_commit_ts()) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-      if (!replay_error().ok()) break;
-      std::string path =
-          CheckpointPathFor(cfg.dir, single->next_expected_epoch());
-      Status s = single->WriteLiveCheckpoint(path);
-      if (!s.ok()) {
-        std::fprintf(stderr, "checkpoint: %s\n", s.ToString().c_str());
-        return 2;
-      }
-      PruneCheckpoints(cfg.dir, cfg.keep_ckpts);
-      std::printf("CKPT %" PRIu64 " txns=%d\n",
-                  static_cast<uint64_t>(single->next_expected_epoch()), i);
-      std::fflush(stdout);
+    // Budget checkpoints run in BOTH paced and digest modes — the trigger
+    // fires at a deterministic txn index, so the reference stream must incur
+    // the same extra flush. Cadence checkpoints (run mode, no budget) follow
+    // the flush above and leave the stream untouched.
+    const bool cadence =
+        paced && cfg.disk_budget == 0 && i % cfg.ckpt_every == 0;
+    for (int s = 0; s < n && failed.ok(); ++s) {
+      const bool truncate = over_budget[s];
+      if (!truncate && !cadence) continue;
+      over_budget[s] = false;
+      failed = checkpoint_lane(s, truncate, i);
     }
   }
   shipper.Finish();
   backup->Stop();
-  if (!replay_error().ok()) {
-    std::fprintf(stderr, "replay error: %s\n",
-                 replay_error().ToString().c_str());
+  if (failed.ok()) failed = replay_error();
+  if (!failed.ok()) {
+    std::fprintf(stderr, "run failed: %s\n", failed.ToString().c_str());
     return 2;
   }
 
@@ -400,8 +383,7 @@ int RunMode(const Config& cfg, bool paced) {
   // used when the gauntlet's kill misses and the run completes). An epoch
   // counts as data if any lane carries transactions; the snapshot timestamp
   // is the full-epoch max every lane header carries, and the digest combines
-  // each table's state from its owning shard (identical to the single-store
-  // digest when n == 1).
+  // each table's state from its owning lane.
   harvest();
   EpochId last_data = 0;
   Timestamp last_ts = kInvalidTimestamp;
@@ -409,16 +391,16 @@ int RunMode(const Config& cfg, bool paced) {
     if (cfg.mode == "digest") {
       std::printf("EPOCH %" PRIu64 " %" PRIu64 " %016" PRIx64 "\n",
                   static_cast<uint64_t>(id), static_cast<uint64_t>(ts),
-                  ReplicaDigestAt(backup, &catalog, ts));
+                  ReplicaDigestAt(backup.get(), &catalog, ts));
     }
     last_data = id;
     last_ts = ts;
   }
   uint64_t truncations = 0;
   uint64_t reclaimed = 0;
-  for (int s = 0; s < n; ++s) {
-    truncations += stores[s]->truncations();
-    reclaimed += stores[s]->bytes_reclaimed();
+  for (const auto& store : stores) {
+    truncations += store->truncations();
+    reclaimed += store->bytes_reclaimed();
   }
   std::printf("FINAL %" PRIu64 " %" PRIu64 " %016" PRIx64 " spills=%" PRIu64
               " produced=%" PRIu64 " covered=%" PRIu64 " truncations=%" PRIu64
@@ -426,7 +408,7 @@ int RunMode(const Config& cfg, bool paced) {
               "\n",
               static_cast<uint64_t>(last_data),
               static_cast<uint64_t>(last_ts),
-              ReplicaDigestAt(backup, &catalog, last_ts),
+              ReplicaDigestAt(backup.get(), &catalog, last_ts),
               shipper.epochs_spilled(), shipper.epochs_produced(),
               shipper.spills_below_floor(), truncations, reclaimed, max_disk,
               cfg.disk_budget);
@@ -434,326 +416,193 @@ int RunMode(const Config& cfg, bool paced) {
   return 0;
 }
 
-// Sharded restart: reopen each shard's segment directory, bootstrap each
-// lane from the newest checkpoint image that bridges its (possibly
-// truncated) durable log, replay every lane's tail through its own
-// DurableEpochSource behind a ShardedBackup, and verify each shard
-// row-for-row against a per-lane ReferenceModel (a lane's durable log plus
-// its image is a complete history of its own tables, so the lane model and
-// the shard store must agree exactly).
-int RecoverShardedMode(const Config& cfg) {
+// Picks lane `s`'s bootstrap image: the newest checkpoint that restores
+// cleanly and bridges the lane's durable log. An image ahead of the log (a
+// chaos-truncated segment tail) would fake epochs the log cannot replay; an
+// image below the truncation floor cannot reach the surviving tail (the
+// epochs in between were deleted under a NEWER image's coverage). Returns ""
+// when no image qualifies.
+std::string PickImage(const Catalog& catalog, const std::string& dir,
+                      const SegmentStore& store, int s) {
+  for (const std::string& ckpt : ListCheckpointFiles(dir)) {
+    TableStore scratch(catalog);
+    auto info = Checkpointer::Restore(ckpt, &scratch);
+    if (!info.ok()) {
+      std::fprintf(stderr, "shard %d checkpoint %s rejected: %s\n", s,
+                   ckpt.c_str(), info.status().ToString().c_str());
+    } else if (info->next_epoch_id > store.next_epoch()) {
+      std::fprintf(stderr,
+                   "shard %d checkpoint %s ahead of durable log, skipping\n",
+                   s, ckpt.c_str());
+    } else if (info->next_epoch_id < store.first_epoch()) {
+      std::fprintf(
+          stderr,
+          "shard %d checkpoint %s below truncation floor %llu, skipping\n", s,
+          ckpt.c_str(), static_cast<unsigned long long>(store.first_epoch()));
+    } else {
+      return ckpt;
+    }
+  }
+  return "";
+}
+
+// What the ORACLE and RECOVERED lines collect over the lanes.
+struct RecoveryTotals {
+  EpochId last_data = 0;
+  Timestamp last_ts = kInvalidTimestamp;
+  uint64_t tail = 0;
+  uint64_t torn = 0;
+  size_t rows = 0;
+};
+
+// Recovers lane `s` in place and checks it. The lane bootstraps from the
+// newest image that bridges its durable log (no image means a cold replay
+// from epoch 0 — only legal while the log still starts there). Its channel
+// is closed, so Start() + Stop() drives the normal closed-channel gap pass:
+// every epoch in [boot, next_epoch) is fetched from disk through the lane's
+// DurableEpochSource and replayed through the regular two-stage loop. Then a ReferenceModel is rebuilt from
+// the same durable log (a second implementation of the storage semantics;
+// the lane's log plus its image is a complete history of its own tables)
+// and the lane must match it row for row. Data epochs below `complete` (the
+// first id some lane lacks) feed the last-data bookkeeping.
+bool RecoverLane(const Config& cfg, const Catalog& catalog, int s,
+                 EpochId complete, SegmentStore* store, AetsReplayer* lane,
+                 RecoveryTotals* totals) {
+  std::string image = PickImage(catalog, LaneDir(cfg, s), *store, s);
+  if (!image.empty()) {
+    Status st = lane->Bootstrap(image);
+    if (!st.ok()) {
+      std::fprintf(stderr, "shard %d bootstrap %s: %s\n", s, image.c_str(),
+                   st.ToString().c_str());
+      return false;
+    }
+    std::printf("BOOTSTRAP shard=%d %s epoch=%" PRIu64 "\n", s, image.c_str(),
+                static_cast<uint64_t>(lane->next_expected_epoch()));
+  } else if (store->first_epoch() > 0) {
+    std::fprintf(stderr,
+                 "shard %d unrecoverable: durable log starts at epoch %llu "
+                 "(truncated) and no checkpoint image bridges it\n",
+                 s, static_cast<unsigned long long>(store->first_epoch()));
+    return false;
+  }
+  const EpochId boot = lane->next_expected_epoch();
+  const Timestamp snapshot = lane->GlobalVisibleTs();
+
+  if (!lane->Start().ok()) return false;
+  lane->Stop();
+  if (!lane->error().ok()) {
+    std::fprintf(stderr, "shard %d recovery replay error: %s\n", s,
+                 lane->error().ToString().c_str());
+    return false;
+  }
+
+  // When the image covers epochs the log no longer holds, the model is
+  // seeded from the bootstrapped store at the snapshot timestamp (still
+  // valid after the tail replayed: the MVCC store keeps history and runs no
+  // GC here) and replays only the tail — epochs still on disk below the
+  // image's coverage are skipped by the model, exactly as recovery itself
+  // skipped them.
+  sim::ReferenceModel model(cfg.num_tables);
+  if (boot > 0) {
+    Status st = model.SeedFromStore(*lane->store(), snapshot, boot);
+    if (!st.ok()) {
+      std::fprintf(stderr, "shard %d model seed: %s\n", s,
+                   st.ToString().c_str());
+      return false;
+    }
+  }
+  // The header-level history point: every data sub-epoch carries its FULL
+  // epoch's max_commit_ts and a lane an epoch left untouched gets a
+  // synthetic heartbeat at it, so the lane's watermark lands exactly here.
+  Timestamp history = snapshot;
+  for (EpochId id = store->first_epoch(); id < store->next_epoch(); ++id) {
+    auto epoch = store->Read(id);
+    if (!epoch) {
+      std::fprintf(stderr, "shard %d durable epoch %llu unreadable\n", s,
+                   static_cast<unsigned long long>(id));
+      return false;
+    }
+    if (id >= boot) {
+      Status st = model.Apply(*epoch);
+      if (!st.ok()) {
+        std::fprintf(stderr, "shard %d model apply: %s\n", s,
+                     st.ToString().c_str());
+        return false;
+      }
+    }
+    if (epoch->is_heartbeat()) {
+      history = std::max(history, epoch->heartbeat_ts);
+      continue;
+    }
+    history = std::max(history, epoch->max_commit_ts);
+    if (id < complete) {
+      totals->last_data = std::max(totals->last_data, id);
+      totals->last_ts = std::max(totals->last_ts, epoch->max_commit_ts);
+    }
+  }
+  if (lane->GlobalVisibleTs() != history) {
+    std::fprintf(stderr, "shard %d watermark %llu != durable history %llu\n",
+                 s, static_cast<unsigned long long>(lane->GlobalVisibleTs()),
+                 static_cast<unsigned long long>(history));
+    return false;
+  }
+  // The lane model only sees the lane's own commits, so exactness is probed
+  // at the lane's own history point: between it and the watermark the
+  // lane's tables have no writes by construction.
+  Status st = model.ExpectStoreExact(*lane->store(), model.MaxVisibleTs());
+  if (!st.ok()) {
+    std::fprintf(stderr, "shard %d: %s\n", s, st.ToString().c_str());
+    return false;
+  }
+  totals->rows += lane->store()->VisibleRowCount(model.MaxVisibleTs());
+  totals->tail += store->next_epoch() - boot;
+  totals->torn += store->torn_frames_truncated();
+  return true;
+}
+
+int RecoverMode(const Config& cfg) {
   Catalog catalog;
   FillCatalog(&catalog, cfg.num_tables);
   const int n = cfg.shard_count;
   ShardMap map = ShardMap::Hash(static_cast<size_t>(cfg.num_tables), n);
-
   std::vector<std::unique_ptr<SegmentStore>> stores;
-  for (int s = 0; s < n; ++s) {
-    auto store_or = SegmentStore::Open(StoreOptions(cfg, ShardDir(cfg.dir, s)));
-    if (!store_or.ok()) {
-      std::fprintf(stderr, "segment store shard %d: %s\n", s,
-                   store_or.status().ToString().c_str());
-      return 2;
-    }
-    stores.push_back(std::move(*store_or));
-  }
+  if (!OpenStores(cfg, &stores)) return 2;
 
   EpochChannel closed_channel;
   closed_channel.Close();
-  std::vector<std::unique_ptr<Replayer>> shards;
-  std::vector<EpochId> boot(static_cast<size_t>(n), 0);
-  std::vector<Timestamp> snapshot(static_cast<size_t>(n), kInvalidTimestamp);
-  for (int s = 0; s < n; ++s) {
-    std::unique_ptr<AetsReplayer> shard;
-    for (const std::string& ckpt : ListCheckpointFiles(ShardDir(cfg.dir, s))) {
-      auto candidate = std::make_unique<AetsReplayer>(
-          &catalog, &closed_channel, ReplayOptions(cfg.num_tables));
-      Status st = candidate->Bootstrap(ckpt);
-      if (!st.ok()) {
-        std::fprintf(stderr, "shard %d checkpoint %s rejected: %s\n", s,
-                     ckpt.c_str(), st.ToString().c_str());
-        continue;
-      }
-      if (candidate->next_expected_epoch() > stores[s]->next_epoch()) {
-        std::fprintf(stderr,
-                     "shard %d checkpoint %s ahead of durable log, skipping\n",
-                     s, ckpt.c_str());
-        continue;
-      }
-      if (candidate->next_expected_epoch() < stores[s]->first_epoch()) {
-        std::fprintf(
-            stderr,
-            "shard %d checkpoint %s below truncation floor %llu, skipping\n",
-            s, ckpt.c_str(),
-            static_cast<unsigned long long>(stores[s]->first_epoch()));
-        continue;
-      }
-      shard = std::move(candidate);
-      boot[s] = shard->next_expected_epoch();
-      snapshot[s] = shard->GlobalVisibleTs();
-      std::printf("BOOTSTRAP shard=%d %s epoch=%" PRIu64 "\n", s,
-                  ckpt.c_str(), static_cast<uint64_t>(boot[s]));
-      break;
-    }
-    if (!shard) {
-      if (stores[s]->first_epoch() > 0) {
-        std::fprintf(stderr,
-                     "shard %d unrecoverable: durable log starts at epoch "
-                     "%llu (truncated) and no checkpoint image bridges it\n",
-                     s,
-                     static_cast<unsigned long long>(stores[s]->first_epoch()));
-        return 2;
-      }
-      shard = std::make_unique<AetsReplayer>(&catalog, &closed_channel,
-                                             ReplayOptions(cfg.num_tables));
-    }
-    shards.push_back(std::move(shard));
-  }
-  ShardedBackup backup(&map, std::move(shards));
   std::vector<std::unique_ptr<DurableEpochSource>> sources;
+  std::unique_ptr<ShardedBackup> backup = MakeShardedAetsBackup(
+      &catalog, &map, std::vector<EpochChannel*>(n, &closed_channel),
+      ReplayOptions(cfg));
   for (int s = 0; s < n; ++s) {
     sources.push_back(std::make_unique<DurableEpochSource>(stores[s].get()));
-    backup.SetShardEpochSource(s, sources.back().get());
+    backup->SetShardEpochSource(s, sources.back().get());
   }
-  if (!backup.Start().ok()) return 2;
-  backup.Stop();
-
-  EpochId last_data = 0;
-  Timestamp last_ts = kInvalidTimestamp;
-  EpochId floor = 0;
-  uint64_t tail = 0;
-  uint64_t torn = 0;
-  size_t rows = 0;
+  // A kill can land between two lanes' appends of one epoch: only ids every
+  // lane holds form a consistent cross-lane cut.
+  EpochId complete = stores[0]->next_epoch();
+  EpochId floor = stores[0]->first_epoch();
+  for (const auto& store : stores) {
+    complete = std::min(complete, store->next_epoch());
+    floor = std::min(floor, store->first_epoch());
+  }
+  RecoveryTotals totals;
   for (int s = 0; s < n; ++s) {
-    auto* shard = dynamic_cast<ReplayerBase*>(backup.shard(s));
-    if (!shard->error().ok()) {
-      std::fprintf(stderr, "shard %d recovery replay error: %s\n", s,
-                   shard->error().ToString().c_str());
+    if (!RecoverLane(cfg, catalog, s, complete, stores[s].get(),
+                     LaneReplayer(backup.get(), s), &totals)) {
       return 2;
     }
-    sim::ReferenceModel model(cfg.num_tables);
-    if (boot[s] > 0) {
-      // The oracle cannot replay epochs truncation deleted: seed it from
-      // the bootstrapped image (its own second opinion of
-      // Checkpointer::Restore) and replay only the tail the image misses.
-      Status st = model.SeedFromStore(*shard->store(), snapshot[s], boot[s]);
-      if (!st.ok()) {
-        std::fprintf(stderr, "shard %d model seed: %s\n", s,
-                     st.ToString().c_str());
-        return 2;
-      }
-    }
-    for (EpochId id = stores[s]->first_epoch(); id < stores[s]->next_epoch();
-         ++id) {
-      auto epoch = stores[s]->Read(id);
-      if (!epoch) {
-        std::fprintf(stderr, "durable epoch %llu unreadable (shard %d)\n",
-                     static_cast<unsigned long long>(id), s);
-        return 2;
-      }
-      if (id >= boot[s]) {
-        Status st = model.Apply(*epoch);
-        if (!st.ok()) {
-          std::fprintf(stderr, "shard %d model apply: %s\n", s,
-                       st.ToString().c_str());
-          return 2;
-        }
-      }
-      if (!epoch->is_heartbeat()) {
-        last_data = std::max(last_data, id);
-        last_ts = std::max(last_ts, epoch->max_commit_ts);
-      }
-    }
-    // The lane model only sees the lane's own commits; the sub-epoch header
-    // carries the FULL epoch's max_commit_ts, so the shard watermark may
-    // legitimately sit past the lane's last commit (never short of it). The
-    // exactness probe reads at the lane's own history point — between it and
-    // the watermark the lane's tables have no writes by construction.
-    Timestamp watermark = shard->GlobalVisibleTs();
-    if (model.MaxVisibleTs() != kInvalidTimestamp) {
-      if (watermark < model.MaxVisibleTs()) {
-        std::fprintf(stderr,
-                     "shard %d watermark %llu short of durable history %llu\n",
-                     s, static_cast<unsigned long long>(watermark),
-                     static_cast<unsigned long long>(model.MaxVisibleTs()));
-        return 2;
-      }
-      Status st = model.ExpectStoreExact(*shard->store(), model.MaxVisibleTs());
-      if (!st.ok()) {
-        std::fprintf(stderr, "shard %d: %s\n", s, st.ToString().c_str());
-        return 2;
-      }
-      rows += shard->store()->VisibleRowCount(model.MaxVisibleTs());
-    }
-    floor = s == 0 ? stores[s]->first_epoch()
-                   : std::min(floor, stores[s]->first_epoch());
-    tail += stores[s]->next_epoch() - boot[s];
-    torn += stores[s]->torn_frames_truncated();
   }
-  std::printf("ORACLE exact rows=%zu shards=%d\n", rows, n);
+  std::printf("ORACLE exact rows=%zu shards=%d\n", totals.rows, n);
   std::printf("RECOVERED next_epoch=%" PRIu64 " last_data=%" PRIu64
               " ts=%" PRIu64 " digest=%016" PRIx64 " fetches=%" PRIu64
               " tail=%" PRIu64 " torn=%" PRIu64 " floor=%" PRIu64 "\n",
-              static_cast<uint64_t>(stores[0]->next_epoch()),
-              static_cast<uint64_t>(last_data),
-              static_cast<uint64_t>(last_ts),
-              ReplicaDigestAt(&backup, &catalog, last_ts),
-              CounterValue("segment.fetches_from_disk"), tail, torn,
-              static_cast<uint64_t>(floor));
-  std::fflush(stdout);
-  return 0;
-}
-
-int RecoverMode(const Config& cfg) {
-  if (cfg.shard_count > 1) return RecoverShardedMode(cfg);
-  Catalog catalog;
-  FillCatalog(&catalog, cfg.num_tables);
-
-  auto store_or = SegmentStore::Open(StoreOptions(cfg, cfg.dir));
-  if (!store_or.ok()) {
-    std::fprintf(stderr, "segment store: %s\n",
-                 store_or.status().ToString().c_str());
-    return 2;
-  }
-  SegmentStore& store = **store_or;
-
-  // Newest restorable checkpoint wins; a corrupt image falls back to the
-  // next older one. No image at all means a cold replay from epoch 0 — only
-  // legal while the log still starts there; once truncation has raised the
-  // floor, an image bridging [floor's coverage] is the only way back.
-  DurableEpochSource source(&store);
-  std::unique_ptr<AetsReplayer> backup;
-  EpochChannel closed_channel;
-  closed_channel.Close();
-  EpochId bootstrapped_at = 0;
-  Timestamp snapshot_ts = kInvalidTimestamp;
-  for (const std::string& ckpt : ListCheckpointFiles(cfg.dir)) {
-    auto candidate = std::make_unique<AetsReplayer>(
-        &catalog, &closed_channel, ReplayOptions(cfg.num_tables));
-    Status s = candidate->Bootstrap(ckpt);
-    if (!s.ok()) {
-      std::fprintf(stderr, "checkpoint %s rejected: %s\n", ckpt.c_str(),
-                   s.ToString().c_str());
-      continue;
-    }
-    if (candidate->next_expected_epoch() > store.next_epoch()) {
-      // The image is ahead of the durable log (a chaos-truncated segment
-      // tail): restoring it would fake epochs the log cannot replay. Fall
-      // back to an older image that the log covers.
-      std::fprintf(stderr, "checkpoint %s ahead of durable log, skipping\n",
-                   ckpt.c_str());
-      continue;
-    }
-    if (candidate->next_expected_epoch() < store.first_epoch()) {
-      // The image predates the truncation floor: the epochs between its
-      // coverage and the log's first surviving segment were deleted under a
-      // NEWER image's coverage, so this one cannot bridge to the tail.
-      std::fprintf(stderr,
-                   "checkpoint %s below truncation floor %llu, skipping\n",
-                   ckpt.c_str(),
-                   static_cast<unsigned long long>(store.first_epoch()));
-      continue;
-    }
-    backup = std::move(candidate);
-    bootstrapped_at = backup->next_expected_epoch();
-    snapshot_ts = backup->GlobalVisibleTs();
-    std::printf("BOOTSTRAP %s epoch=%" PRIu64 "\n", ckpt.c_str(),
-                static_cast<uint64_t>(bootstrapped_at));
-    break;
-  }
-  if (!backup) {
-    if (store.first_epoch() > 0) {
-      std::fprintf(stderr,
-                   "unrecoverable: durable log starts at epoch %llu "
-                   "(truncated) and no checkpoint image bridges it\n",
-                   static_cast<unsigned long long>(store.first_epoch()));
-      return 2;
-    }
-    backup = std::make_unique<AetsReplayer>(&catalog, &closed_channel,
-                                            ReplayOptions(cfg.num_tables));
-  }
-
-  // The channel is already closed, so Start() + Stop() drives the normal
-  // closed-channel gap pass: every epoch in [bootstrapped_at,
-  // store.next_epoch()) is fetched from disk and replayed through the
-  // regular two-stage loop.
-  backup->SetEpochSource(&source);
-  if (!backup->Start().ok()) return 2;
-  backup->Stop();
-  if (!backup->error().ok()) {
-    std::fprintf(stderr, "recovery replay error: %s\n",
-                 backup->error().ToString().c_str());
-    return 2;
-  }
-
-  // Exactness probe: rebuild the reference history from the durable log
-  // (the model is a second implementation of the storage semantics) and
-  // demand the recovered store match it row for row at the watermark. When
-  // the image covers epochs the log no longer holds, the model is seeded
-  // from the bootstrapped store at the snapshot timestamp (still valid
-  // after the tail replayed: the MVCC store keeps history and runs no GC
-  // here) and replays only the tail — epochs still on disk below the
-  // image's coverage are scanned for the last-data bookkeeping but skipped
-  // by the model, exactly as recovery itself skipped them.
-  sim::ReferenceModel model(cfg.num_tables);
-  if (bootstrapped_at > 0) {
-    Status s = model.SeedFromStore(*backup->store(), snapshot_ts,
-                                   bootstrapped_at);
-    if (!s.ok()) {
-      std::fprintf(stderr, "model seed: %s\n", s.ToString().c_str());
-      return 2;
-    }
-  }
-  Timestamp last_ts = kInvalidTimestamp;
-  EpochId last_data = 0;
-  for (EpochId id = store.first_epoch(); id < store.next_epoch(); ++id) {
-    auto epoch = store.Read(id);
-    if (!epoch) {
-      std::fprintf(stderr, "durable epoch %llu unreadable\n",
-                   static_cast<unsigned long long>(id));
-      return 2;
-    }
-    if (id >= bootstrapped_at) {
-      Status s = model.Apply(*epoch);
-      if (!s.ok()) {
-        std::fprintf(stderr, "model apply: %s\n", s.ToString().c_str());
-        return 2;
-      }
-    }
-    if (!epoch->is_heartbeat()) {
-      last_data = id;
-      last_ts = epoch->max_commit_ts;
-    }
-  }
-  Timestamp watermark = backup->GlobalVisibleTs();
-  if (last_ts != kInvalidTimestamp || bootstrapped_at > 0) {
-    if (watermark != model.MaxVisibleTs()) {
-      std::fprintf(stderr,
-                   "watermark %llu short of durable history %llu\n",
-                   static_cast<unsigned long long>(watermark),
-                   static_cast<unsigned long long>(model.MaxVisibleTs()));
-      return 2;
-    }
-    Status s = model.ExpectStoreExact(*backup->store(), watermark);
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 2;
-    }
-    std::printf("ORACLE exact rows=%zu\n",
-                backup->store()->VisibleRowCount(watermark));
-  }
-
-  std::printf("RECOVERED next_epoch=%" PRIu64 " last_data=%" PRIu64
-              " ts=%" PRIu64 " digest=%016" PRIx64 " fetches=%" PRIu64
-              " tail=%" PRIu64 " torn=%" PRIu64 " floor=%" PRIu64 "\n",
-              static_cast<uint64_t>(store.next_epoch()),
-              static_cast<uint64_t>(last_data),
-              static_cast<uint64_t>(last_ts),
-              backup->store()->DigestAt(last_ts),
-              CounterValue("segment.fetches_from_disk"),
-              static_cast<uint64_t>(store.next_epoch() - bootstrapped_at),
-              store.torn_frames_truncated(),
-              static_cast<uint64_t>(store.first_epoch()));
+              static_cast<uint64_t>(complete),
+              static_cast<uint64_t>(totals.last_data),
+              static_cast<uint64_t>(totals.last_ts),
+              ReplicaDigestAt(backup.get(), &catalog, totals.last_ts),
+              CounterValue("segment.fetches_from_disk"), totals.tail,
+              totals.torn, static_cast<uint64_t>(floor));
   std::fflush(stdout);
   return 0;
 }
@@ -800,6 +649,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--dir is required\n");
     return 2;
   }
+  cfg.shard_count = std::max(cfg.shard_count, 1);
   if (cfg.mode == "run") return RunMode(cfg, /*paced=*/true);
   if (cfg.mode == "digest") return RunMode(cfg, /*paced=*/false);
   if (cfg.mode == "recover") return RecoverMode(cfg);

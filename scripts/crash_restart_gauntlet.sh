@@ -22,11 +22,13 @@ fail() { echo "FAIL: $*" >&2; exit 1; }
 [ -x "$BIN" ] || fail "binary not found: $BIN (set BIN or build durable_replay)"
 
 # Runs `run` mode, kills it after $2 ms, recovers, and checks the recovered
-# digest against the reference table in $3. Echoes the recovered fetch count.
+# digest against the reference table in $3. Optional $5: extra flags for
+# both run and recover. Echoes the recovered fetch count.
 kill_and_recover() {
-  local seed=$1 delay_ms=$2 ref=$3 dir=$4
+  local seed=$1 delay_ms=$2 ref=$3 dir=$4 extra=${5:-}
   rm -rf "$dir"
-  "$BIN" run --dir "$dir" --seed "$seed" --txns "$TXNS" \
+  # shellcheck disable=SC2086
+  "$BIN" run --dir "$dir" --seed "$seed" --txns "$TXNS" $extra \
       > "$WORK/run-$seed.txt" 2>&1 &
   local pid=$!
   sleep "$(awk "BEGIN{print $delay_ms/1000}")"
@@ -38,7 +40,9 @@ kill_and_recover() {
   wait "$pid" 2>/dev/null
 
   local out
-  out=$("$BIN" recover --dir "$dir" --seed "$seed" 2>"$WORK/recover-$seed.err") \
+  # shellcheck disable=SC2086
+  out=$("$BIN" recover --dir "$dir" --seed "$seed" $extra \
+      2>"$WORK/recover-$seed.err") \
       || fail "seed $seed: recover exited $? ($(cat "$WORK/recover-$seed.err"))"
   echo "$out" | grep -q '^ORACLE exact' \
       || fail "seed $seed: sim-oracle exactness probe did not run"
@@ -155,6 +159,18 @@ grep -q '^TRUNC shard=0' "$ref" && grep -q '^TRUNC shard=1' "$ref" \
 kill_after_trunc_and_recover "$seed" "$ref" "$WORK/shtrunc-$seed" \
     "--shard_count 2 --disk_budget 700000" 2
 echo "gauntlet: sharded truncated-log recovery passed" >&2
+
+# The sharded kill/recover case without a budget: every lane takes live
+# checkpoints on the --ckpt_every cadence, and recovery bootstraps each lane
+# from its own image and replays its own durable tail.
+seed=53
+ref="$WORK/ref-sharded-$seed.txt"
+"$BIN" digest --dir "$WORK/ref-sharded-$seed" --seed "$seed" --txns "$TXNS" \
+    --shard_count 2 > "$ref" \
+    || fail "seed $seed: sharded reference run failed"
+kill_and_recover "$seed" 700 "$ref" "$WORK/crash-sharded-$seed" \
+    "--shard_count 2" > /dev/null
+echo "gauntlet: sharded kill/recover passed" >&2
 
 if [ "$CHAOS" = "--chaos" ]; then
   seed=101

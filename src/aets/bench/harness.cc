@@ -171,6 +171,7 @@ std::unique_ptr<ShardedBackup> MakeShardedReplayer(
 std::vector<std::vector<ShippedEpoch>> ShardRecordedLog(const RecordedLog& log,
                                                         const ShardMap& map) {
   const int n = map.num_shards();
+  if (n == 1) return {log.epochs};  // one lane is the recorded stream
   // Seal only on FlushEpoch so the re-shipped epoch boundaries land exactly
   // where the recorded ones did.
   LogShipper shipper(/*epoch_size=*/SIZE_MAX);
@@ -268,53 +269,35 @@ void FillBatchResult(const Replayer& replayer, BatchReplayResult* result) {
 
 BatchReplayResult ReplayRecorded(const RecordedLog& log, const Catalog* catalog,
                                  const ReplayerSpec& spec) {
+  // Split the recorded stream into per-shard lanes and fill the per-shard
+  // channels BEFORE building the backup, so the measured wall covers replay
+  // only (DESIGN.md §11). One shard replays the recorded stream itself.
+  ShardMap map = ShardMap::Hash(catalog->num_tables(), spec.shard_count);
+  std::vector<std::unique_ptr<EpochChannel>> channels;
+  std::vector<EpochChannel*> raw;
+  for (const auto& stream : ShardRecordedLog(log, map)) {
+    channels.push_back(std::make_unique<EpochChannel>(0));
+    for (const ShippedEpoch& sub : stream) {
+      ShippedEpoch copy = sub;  // payload shared; metadata copied
+      AETS_CHECK(channels.back()->Send(std::move(copy)));
+    }
+    channels.back()->Close();
+    raw.push_back(channels.back().get());
+  }
+  std::unique_ptr<ShardedBackup> backup =
+      MakeShardedReplayer(spec, catalog, &map, raw);
+  AETS_CHECK(backup->Start().ok());
+  backup->Stop();
+
   BatchReplayResult result;
   result.name = KindName(spec.kind);
-
   if (spec.shard_count > 1) {
-    // Sharded path (DESIGN.md §11): split the recorded stream into per-shard
-    // lanes and fill the per-shard channels BEFORE building the backup, so
-    // the measured wall covers replay only, exactly like the single-shard
-    // path below.
-    ShardMap map = ShardMap::Hash(catalog->num_tables(), spec.shard_count);
-    std::vector<std::vector<ShippedEpoch>> streams = ShardRecordedLog(log, map);
-    std::vector<std::unique_ptr<EpochChannel>> channels;
-    std::vector<EpochChannel*> raw;
-    for (auto& stream : streams) {
-      channels.push_back(std::make_unique<EpochChannel>(0));
-      for (const ShippedEpoch& sub : stream) {
-        ShippedEpoch copy = sub;  // payload shared; metadata copied
-        AETS_CHECK(channels.back()->Send(std::move(copy)));
-      }
-      channels.back()->Close();
-      raw.push_back(channels.back().get());
-    }
-    std::unique_ptr<ShardedBackup> backup =
-        MakeShardedReplayer(spec, catalog, &map, raw);
-    AETS_CHECK(backup->Start().ok());
-    backup->Stop();
-    FillBatchResult(*backup, &result);
     result.name += "x" + std::to_string(spec.shard_count);
-    result.state_matches_primary =
-        ReplicaDigestAt(backup.get(), catalog, log.final_ts) ==
-        log.primary_digest;
-    return result;
   }
-
-  EpochChannel channel(0);
-  for (const auto& epoch : log.epochs) {
-    ShippedEpoch copy = epoch;  // payload shared; metadata copied
-    AETS_CHECK(channel.Send(std::move(copy)));
-  }
-  channel.Close();
-
-  std::unique_ptr<Replayer> replayer = MakeReplayer(spec, catalog, &channel);
-  AETS_CHECK(replayer->Start().ok());
-  replayer->Stop();
-
-  FillBatchResult(*replayer, &result);
+  FillBatchResult(*backup, &result);
   result.state_matches_primary =
-      replayer->store()->DigestAt(log.final_ts) == log.primary_digest;
+      ReplicaDigestAt(backup.get(), catalog, log.final_ts) ==
+      log.primary_digest;
   return result;
 }
 

@@ -72,11 +72,12 @@ struct ReplayerSpec {
   double dbscan_eps = 0.3;
   /// Cross-epoch pipeline depth (DESIGN.md §9). 1 disables the pipeline.
   int pipeline_depth = 2;
-  /// Backup shard count (DESIGN.md §11). 1 runs the classic single-replayer
-  /// path; N > 1 splits the recorded stream into per-shard sub-epoch lanes
-  /// (ShardMap::Hash over the catalog) and replays them through N replayers
-  /// of `kind` behind a ShardedBackup, with `threads`/`commit_threads`
-  /// treated as TOTAL budgets divided across shards by SplitThreadBudget.
+  /// Backup shard count (DESIGN.md §11). ReplayRecorded splits the recorded
+  /// stream into per-shard sub-epoch lanes (ShardMap::Hash over the catalog)
+  /// and replays them through N replayers of `kind` behind a ShardedBackup,
+  /// with `threads`/`commit_threads` treated as TOTAL budgets divided across
+  /// shards by SplitThreadBudget. N = 1 is the one-lane case: the recorded
+  /// stream itself, one replayer with the whole budget.
   int shard_count = 1;
 };
 
@@ -114,8 +115,9 @@ RecordedLog RecordWorkload(Workload* workload, uint64_t num_txns,
 
 /// Re-ships a recorded log through a sharded LogShipper and returns the N
 /// per-shard sub-epoch streams (result[s] is shard s's lane, epoch ids
-/// aligned with log.epochs). Done once up front so the split cost never
-/// lands inside a replay measurement.
+/// aligned with log.epochs); with one shard the lane is log.epochs itself.
+/// Done once up front so the split cost never lands inside a replay
+/// measurement.
 std::vector<std::vector<ShippedEpoch>> ShardRecordedLog(const RecordedLog& log,
                                                         const ShardMap& map);
 

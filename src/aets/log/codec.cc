@@ -181,12 +181,6 @@ Result<LogRecordView> LogCodec::DecodeView(std::string_view data,
                         /*metadata_only=*/false);
 }
 
-Result<LogRecord> LogCodec::Decode(std::string_view data, size_t* offset) {
-  auto view = DecodeView(data, offset);
-  if (!view.ok()) return view.status();
-  return view->Materialize();
-}
-
 Result<LogRecordView> LogCodec::DecodeMetadata(std::string_view data,
                                                size_t* offset) {
   auto frame = ReadFrame(data, offset, /*verify_crc=*/false);
@@ -202,17 +196,6 @@ std::string LogCodec::EncodeAll(const std::vector<LogRecord>& records) {
   out.reserve(total);
   for (const auto& r : records) Encode(r, &out);
   return out;
-}
-
-Result<std::vector<LogRecord>> LogCodec::DecodeAll(std::string_view data) {
-  std::vector<LogRecord> records;
-  size_t offset = 0;
-  while (offset < data.size()) {
-    auto rec = Decode(data, &offset);
-    if (!rec.ok()) return rec.status();
-    records.push_back(std::move(rec).value());
-  }
-  return records;
 }
 
 }  // namespace aets

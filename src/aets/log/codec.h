@@ -35,18 +35,14 @@ class LogCodec {
   /// Appends the encoded record to `out`.
   static void Encode(const LogRecord& record, std::string* out);
 
-  /// Decodes one record starting at `data[*offset]`, advancing `*offset`.
-  /// Checksum mismatches and truncation return Corruption. Owning: DecodeView
-  /// plus LogRecordView::Materialize, so every string value is copied out.
-  /// Used by DecodeAll, tests and the codec benchmarks; the replay and
-  /// checkpoint-restore paths decode views.
-  static Result<LogRecord> Decode(std::string_view data, size_t* offset);
-
-  /// Single-pass zero-copy decode: verifies the checksum, bounds-checks every
-  /// value once, and returns a view whose `value_bytes` (and any string
-  /// ValueView read from it) points into `data`. The caller must keep `data`
-  /// alive and unmodified for the lifetime of the view — on the replay path
-  /// that is the epoch's shared payload.
+  /// The one full decoder. Decodes one record starting at `data[*offset]`,
+  /// advancing `*offset`; checksum mismatches and truncation return
+  /// Corruption. Single pass and zero-copy: verifies the checksum,
+  /// bounds-checks every value once, and returns a view whose `value_bytes`
+  /// (and any string ValueView read from it) points into `data`. The caller
+  /// must keep `data` alive and unmodified for the lifetime of the view — on
+  /// the replay path that is the epoch's shared payload. Callers that need
+  /// an owning record call LogRecordView::Materialize on the result.
   static Result<LogRecordView> DecodeView(std::string_view data,
                                           size_t* offset);
 
@@ -61,9 +57,6 @@ class LogCodec {
 
   /// Encodes a whole sequence (single exact-size allocation).
   static std::string EncodeAll(const std::vector<LogRecord>& records);
-
-  /// Decodes a whole sequence.
-  static Result<std::vector<LogRecord>> DecodeAll(std::string_view data);
 };
 
 /// Software CRC32C (Castagnoli), table-driven slice-by-8 (little-endian

@@ -105,7 +105,7 @@ struct LogRecordView {
 
   /// Materializes an owning LogRecord (the one allocation-heavy path:
   /// DecodeEpoch — the serial oracle, the reference model, the bench
-  /// harness — LogCodec::Decode, and tests).
+  /// harness — and tests).
   LogRecord Materialize() const;
 };
 

@@ -147,6 +147,23 @@ void EpochStreamServer::RunSubscriber(TcpSocket socket, uint32_t shard) {
     // under the same lock attach takes, so this check cannot miss the cut.
     channel->Close();
   }
+  // Dead or wedged subscriber. Close the staging channel so the shipper's
+  // Sends fail fast (counted as send_failures / dropped — the epochs stay
+  // fetchable); the subscriber recovers by reconnecting and NACKing.
+  auto drop_subscriber = [&] {
+    channel->Close();
+    while (channel->TryReceive()) {
+    }
+    ReleaseSubscriberChannel(channel);
+  };
+  // The ack goes out only after the attach: the client's Start() (and every
+  // reconnect) waits for it, so an epoch shipped once Start() returned
+  // reaches this live stream instead of the subscriber's NACK gap.
+  if (!WriteFrame(&socket, FrameType::kSubscribed, "", options_.io_timeout_ms)
+           .ok()) {
+    drop_subscriber();
+    return;
+  }
   std::string body;
   while (auto epoch = channel->Receive()) {
     if (stop_.load(std::memory_order_relaxed)) break;
@@ -155,14 +172,7 @@ void EpochStreamServer::RunSubscriber(TcpSocket socket, uint32_t shard) {
     Status s = WriteFrame(&socket, FrameType::kEpoch, body,
                           options_.io_timeout_ms);
     if (!s.ok()) {
-      // Dead or wedged subscriber. Close the staging channel so the
-      // shipper's Sends fail fast (counted as send_failures / dropped —
-      // the epochs stay fetchable); the subscriber recovers by
-      // reconnecting and NACKing.
-      channel->Close();
-      while (channel->TryReceive()) {
-      }
-      ReleaseSubscriberChannel(channel);
+      drop_subscriber();
       return;
     }
     streamed->Add(1);
@@ -253,6 +263,20 @@ Status EpochStreamClient::ConnectAndHello(TcpSocket* socket) {
   Status s = WriteFrame(&*conn, FrameType::kHello, body,
                         options_.io_timeout_ms);
   if (!s.ok()) return s;
+  // Wait for the ack: once it arrives the server has attached this
+  // subscriber's channel. Epoch frames right behind it stay buffered in
+  // decoder_ for ReadLoop.
+  decoder_.Reset();
+  Frame ack;
+  s = ReadFrame(&*conn, &decoder_, options_.io_timeout_ms,
+                /*idle_timeout_ms=*/options_.io_timeout_ms, stop_, &ack);
+  if (!s.ok()) return s;
+  if (ack.type == FrameType::kError) {
+    return Status::InvalidArgument("subscribe refused: " + ack.body);
+  }
+  if (ack.type != FrameType::kSubscribed) {
+    return Status::Corruption("epoch stream did not ack the subscription");
+  }
   *socket = std::move(*conn);
   return Status::OK();
 }
@@ -261,6 +285,7 @@ Status EpochStreamClient::Start() {
   if (reader_thread_.joinable()) {
     return Status::InvalidArgument("client already started");
   }
+  stop_.store(false, std::memory_order_release);
   TcpSocket socket;
   Status s = ConnectAndHello(&socket);
   if (!s.ok()) return s;
@@ -268,7 +293,6 @@ Status EpochStreamClient::Start() {
     std::lock_guard<std::mutex> lk(socket_mu_);
     socket_ = std::move(socket);
   }
-  stop_.store(false, std::memory_order_release);
   reader_thread_ = std::thread([this] { ReadLoop(); });
   return Status::OK();
 }
@@ -289,7 +313,6 @@ void EpochStreamClient::Stop() {
 void EpochStreamClient::ReadLoop() {
   static obs::Counter* received = obs::GetCounter("net.epochs_received");
   static obs::Counter* reconnect_count = obs::GetCounter("net.reconnects");
-  FrameDecoder decoder;
   while (!stop_.load(std::memory_order_relaxed)) {
     Frame frame;
     Status s;
@@ -299,7 +322,7 @@ void EpochStreamClient::ReadLoop() {
       // never held for long. An idle stream is normal (quiet primary still
       // heartbeats, but a paused one may not) — wait forever.
       std::lock_guard<std::mutex> lk(socket_mu_);
-      s = ReadFrame(&socket_, &decoder, options_.io_timeout_ms,
+      s = ReadFrame(&socket_, &decoder_, options_.io_timeout_ms,
                     /*idle_timeout_ms=*/-1, stop_, &frame);
     }
     if (s.ok()) {
@@ -330,9 +353,9 @@ void EpochStreamClient::ReadLoop() {
     }
     if (stop_.load(std::memory_order_relaxed)) return;
     // Any failure — reset, mid-frame EOF, stall, corrupt framing — lands
-    // here: drop the connection and the torn frame, reconnect with bounded
-    // backoff, and let the replayer NACK whatever the wire swallowed.
-    decoder.Reset();
+    // here: drop the connection and the torn frame (ConnectAndHello resets
+    // the decoder), reconnect with bounded backoff, and let the replayer
+    // NACK whatever the wire swallowed.
     bool connected = false;
     for (int attempt = 1; attempt <= options_.max_reconnects; ++attempt) {
       std::this_thread::sleep_for(std::chrono::milliseconds(

@@ -34,10 +34,11 @@ struct EpochStreamServerOptions {
 /// frame, then serves either role:
 ///
 ///   kSubscribe — attaches a fresh bounded EpochChannel to the shipper's
-///     lane for the requested shard and streams every delivered epoch as a
-///     kEpoch frame. A write timeout or reset closes the channel (the
-///     shipper counts the failures; the data stays NACK-able) and ends the
-///     session — recovery is the subscriber's reconnect.
+///     lane for the requested shard, acks with an empty kSubscribed frame,
+///     and streams every delivered epoch as a kEpoch frame. A write timeout
+///     or reset closes the channel (the shipper counts the failures; the
+///     data stays NACK-able) and ends the session — recovery is the
+///     subscriber's reconnect.
 ///   kControl — a synchronous RPC loop serving the NACK protocol over the
 ///     wire: kFetch -> kFetchOk/kFetchMiss, kMeta -> kMetaOk. This is the
 ///     transport behind TcpEpochSource.
@@ -120,9 +121,10 @@ struct EpochStreamClientOptions {
   int reconnect_backoff_ms = 20;
 };
 
-/// The backup-side subscriber: connects, sends Hello(kSubscribe, shard), and
-/// pumps every kEpoch frame into `sink` — the same EpochChannel the replayer
-/// drains, so the socket is invisible to the replay path. Frame corruption,
+/// The backup-side subscriber: connects, sends Hello(kSubscribe, shard),
+/// waits for the kSubscribed ack, and pumps every kEpoch frame into `sink` —
+/// the same EpochChannel the replayer drains, so the socket is invisible to
+/// the replay path. Frame corruption,
 /// resets, and mid-frame EOFs all funnel into one recovery: drop the
 /// connection (and any torn frame), reconnect with bounded backoff, and let
 /// the replayer NACK the gap. kStreamEnd closes the sink, which triggers the
@@ -136,8 +138,10 @@ class EpochStreamClient {
   EpochStreamClient(const EpochStreamClient&) = delete;
   EpochStreamClient& operator=(const EpochStreamClient&) = delete;
 
-  /// Connects (failing fast if the server is unreachable) and starts the
-  /// reader thread.
+  /// Connects (failing fast if the server is unreachable), waits up to
+  /// io_timeout_ms for the server's kSubscribed ack, and starts the reader
+  /// thread. Every epoch the shipper delivers to this lane after Start()
+  /// returns arrives on the stream; each reconnect waits for the ack too.
   Status Start();
 
   /// Tears the connection down and joins. Closes the sink if the stream did
@@ -154,6 +158,7 @@ class EpochStreamClient {
   }
 
  private:
+  /// Connects, sends Hello and reads the ack through decoder_ (reset first).
   Status ConnectAndHello(TcpSocket* socket);
   void ReadLoop();
 
@@ -165,6 +170,9 @@ class EpochStreamClient {
 
   std::mutex socket_mu_;  // guards socket_ between ReadLoop and Stop
   TcpSocket socket_;
+  /// The stream's frame parser: fed by ConnectAndHello, then by ReadLoop
+  /// (only ever touched by one of them at a time).
+  FrameDecoder decoder_;
   std::thread reader_thread_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> clean_end_{false};

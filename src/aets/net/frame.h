@@ -42,6 +42,7 @@ enum class FrameType : uint8_t {
   kQueryOk = 10,   // scan result (digest, count, optional rows)
   kBusy = 11,      // admission queue full — retry later, nothing served
   kError = 12,     // server-side failure executing a request
+  kSubscribed = 13,  // subscriber attached: later epochs stream live
 };
 
 inline constexpr uint16_t kFrameMagic = 0xAE75;

@@ -80,6 +80,10 @@ struct ReplayRecoveryOptions {
 ///    mutex, Stop() is idempotent, and a failed StartWorkers() leaves the
 ///    replayer cleanly un-started.
 ///
+/// Checkpoint cadence is not the replayer's business: the driver that owns
+/// the durable tier decides when to quiesce and image a backup (e.g. on the
+/// shipper's disk-budget CheckpointTrigger).
+///
 /// Subclasses implement PrepareEpoch/CommitEpoch, and optionally
 /// StartWorkers/StopWorkers for their thread pools. Their destructors must
 /// call Stop() (so the virtual StopWorkers still dispatches).
@@ -148,20 +152,6 @@ class ReplayerBase : public Replayer {
   /// for commit progress). Safe to poll from other threads.
   EpochId next_expected_epoch() const {
     return expected_epoch_.load(std::memory_order_acquire);
-  }
-
-  /// Disk-budget plumbing: the shipper's CheckpointTrigger (or any other
-  /// observer) marks this backup as needing a checkpoint; the driver that
-  /// owns the checkpoint cadence consumes the mark with
-  /// TakeCheckpointRequest, quiesces, writes the image, and truncates the
-  /// durable log. A latched request is level-held (re-requesting is
-  /// idempotent) so a slow driver never misses it. Thread-safe.
-  void RequestCheckpoint() {
-    checkpoint_requested_.store(true, std::memory_order_release);
-  }
-  /// Returns true exactly once per pending request, clearing it.
-  bool TakeCheckpointRequest() {
-    return checkpoint_requested_.exchange(false, std::memory_order_acq_rel);
   }
 
  protected:
@@ -310,8 +300,6 @@ class ReplayerBase : public Replayer {
   mutable std::mutex error_mu_;
   Status error_;
   std::atomic<bool> error_flag_{false};
-
-  std::atomic<bool> checkpoint_requested_{false};
 };
 
 }  // namespace aets

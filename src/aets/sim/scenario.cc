@@ -24,14 +24,19 @@ namespace sim {
 namespace {
 
 /// The recorded log stream plus the catalog it was recorded against (the
-/// replayer under test is built on the same catalog). With sharding, the
-/// per-shard sub-epoch streams ride along (index-aligned with `epochs`:
-/// entry i of every stream carries the same epoch id).
+/// replayer under test is built on the same catalog) and the shard map the
+/// backup lanes follow. lane(s) is shard s's sub-epoch stream, index-aligned
+/// with `epochs` (entry i of every lane carries the same epoch id); with one
+/// shard the reference stream is lane 0 itself.
 struct RecordedStream {
   std::unique_ptr<Catalog> catalog;
-  std::unique_ptr<ShardMap> shard_map;  // set when spec.shard_count > 1
-  std::vector<ShippedEpoch> epochs;     // the unsharded (reference) stream
-  std::vector<std::vector<ShippedEpoch>> shard_epochs;  // one per shard
+  std::unique_ptr<ShardMap> shard_map;
+  std::vector<ShippedEpoch> epochs;  // the unsharded (reference) stream
+  std::vector<std::vector<ShippedEpoch>> shard_epochs;  // empty at one shard
+
+  const std::vector<ShippedEpoch>& lane(size_t s) const {
+    return shard_epochs.empty() ? epochs : shard_epochs[s];
+  }
 };
 
 /// Drives the scenario's transactions and epoch boundaries into one
@@ -71,18 +76,45 @@ void ExecuteWorkload(const ScenarioSpec& spec, PrimaryDb* db,
 }
 
 /// Executes the scenario's workload on a real PrimaryDb and captures the
-/// shipped epoch stream. Fully deterministic: a fresh LogicalClock assigns
-/// commit timestamps 1, 2, 3, ... in plan order, write values are a pure
-/// function of the write's global sequence number, and epoch boundaries sit
-/// exactly where the plan says (FlushEpoch/ShipHeartbeat, not size or time
-/// triggers). Re-recording a shrunk spec therefore yields a stream whose
-/// remaining transactions are byte-identical in content.
-///
-/// Sharded specs record TWICE — once unsharded (the reference stream the
-/// ground-truth model consumes) and once through a sharded shipper for the
-/// per-shard streams. Determinism makes the two passes agree on every commit
-/// timestamp, so the sharded replay is checked against exactly the history
-/// the unsharded stream describes.
+/// epoch stream a LogShipper sharded by `map` delivers, one vector per lane.
+/// Fully deterministic: a fresh LogicalClock assigns commit timestamps 1, 2,
+/// 3, ... in plan order, write values are a pure function of the write's
+/// global sequence number, and epoch boundaries sit exactly where the plan
+/// says (FlushEpoch/ShipHeartbeat, not size or time triggers). Re-recording
+/// a shrunk spec therefore yields a stream whose remaining transactions are
+/// byte-identical in content.
+std::vector<std::vector<ShippedEpoch>> RecordLanes(const ScenarioSpec& spec,
+                                                   const Catalog* catalog,
+                                                   const ShardMap& map) {
+  LogicalClock clock;
+  PrimaryDb db(catalog, &clock);
+  // Epoch size far above any plan so only FlushEpoch seals; retention wide
+  // enough that nothing is ever evicted.
+  LogShipper shipper(/*epoch_size=*/1u << 20,
+                     /*retention_capacity=*/2 * spec.epochs.size() + 8);
+  shipper.SetShardMap(&map);
+  std::vector<std::unique_ptr<EpochChannel>> recorders;
+  for (int s = 0; s < map.num_shards(); ++s) {
+    recorders.push_back(std::make_unique<EpochChannel>(/*capacity=*/0));
+    shipper.AttachShardChannel(s, recorders.back().get());
+  }
+  db.SetCommitSink(
+      [&shipper](TxnLog txn) { shipper.OnCommit(std::move(txn)); });
+  ExecuteWorkload(spec, &db, &shipper);
+  std::vector<std::vector<ShippedEpoch>> lanes(recorders.size());
+  for (size_t s = 0; s < recorders.size(); ++s) {
+    while (auto epoch = recorders[s]->TryReceive()) {
+      lanes[s].push_back(std::move(*epoch));
+    }
+  }
+  return lanes;
+}
+
+/// Records the reference stream through a one-lane shipper (at one lane the
+/// shipper ships the plain encoded epoch). Sharded specs record a SECOND
+/// time through an N-lane shipper for the per-shard streams; determinism
+/// makes the two passes agree on every commit timestamp, so the sharded
+/// replay is checked against exactly the history the reference describes.
 RecordedStream RecordScenario(const ScenarioSpec& spec) {
   RecordedStream out;
   out.catalog = std::make_unique<Catalog>();
@@ -95,46 +127,15 @@ RecordedStream RecordScenario(const ScenarioSpec& spec) {
                                                {"b", ColumnType::kString}}))
                    .ok());
   }
-  {
-    LogicalClock clock;
-    PrimaryDb db(out.catalog.get(), &clock);
-    // Epoch size far above any plan so only FlushEpoch seals; retention wide
-    // enough that nothing is ever evicted.
-    LogShipper shipper(/*epoch_size=*/1u << 20,
-                       /*retention_capacity=*/2 * spec.epochs.size() + 8);
-    EpochChannel recorder(/*capacity=*/0);  // unbounded
-    shipper.AttachChannel(&recorder);
-    db.SetCommitSink(
-        [&shipper](TxnLog txn) { shipper.OnCommit(std::move(txn)); });
-    ExecuteWorkload(spec, &db, &shipper);
-    while (auto epoch = recorder.TryReceive()) {
-      out.epochs.push_back(std::move(*epoch));
-    }
-  }
+  out.shard_map = std::make_unique<ShardMap>(
+      ShardMap::Hash(spec.num_tables, spec.shard_count));
+  out.epochs = std::move(RecordLanes(spec, out.catalog.get(),
+                                     ShardMap::Hash(spec.num_tables, 1))[0]);
   if (spec.shard_count > 1) {
-    out.shard_map = std::make_unique<ShardMap>(
-        ShardMap::Hash(spec.num_tables, spec.shard_count));
-    LogicalClock clock;
-    PrimaryDb db(out.catalog.get(), &clock);
-    LogShipper shipper(/*epoch_size=*/1u << 20,
-                       /*retention_capacity=*/2 * spec.epochs.size() + 8);
-    shipper.SetShardMap(out.shard_map.get());
-    std::vector<std::unique_ptr<EpochChannel>> recorders;
-    for (int s = 0; s < spec.shard_count; ++s) {
-      recorders.push_back(std::make_unique<EpochChannel>(/*capacity=*/0));
-      shipper.AttachShardChannel(s, recorders.back().get());
-    }
-    db.SetCommitSink(
-        [&shipper](TxnLog txn) { shipper.OnCommit(std::move(txn)); });
-    ExecuteWorkload(spec, &db, &shipper);
-    out.shard_epochs.resize(static_cast<size_t>(spec.shard_count));
-    for (int s = 0; s < spec.shard_count; ++s) {
-      auto& stream = out.shard_epochs[static_cast<size_t>(s)];
-      while (auto epoch = recorders[static_cast<size_t>(s)]->TryReceive()) {
-        stream.push_back(std::move(*epoch));
-      }
-      // Every lane carries the full epoch id sequence (synthetic heartbeats
-      // fill untouched shards), so the streams must be index-aligned.
+    out.shard_epochs = RecordLanes(spec, out.catalog.get(), *out.shard_map);
+    // Every lane carries the full epoch id sequence (synthetic heartbeats
+    // fill untouched shards), so the streams must be index-aligned.
+    for (const auto& stream : out.shard_epochs) {
       AETS_CHECK_MSG(stream.size() == out.epochs.size(),
                      "sharded record out of step with the reference stream");
     }
@@ -159,19 +160,6 @@ class RecordedSource : public EpochSource {
  private:
   const std::vector<ShippedEpoch>* epochs_;
 };
-
-void ReportReplayerError(Replayer* replayer, ViolationLog* log) {
-  auto* base = dynamic_cast<ReplayerBase*>(replayer);
-  if (base != nullptr && !base->error().ok()) {
-    log->Report(kInvariantReplayerError,
-                replayer->name() + ": " + base->error().ToString());
-  }
-}
-
-bool ReplayerErrored(Replayer* replayer) {
-  auto* base = dynamic_cast<ReplayerBase*>(replayer);
-  return base != nullptr && !base->error().ok();
-}
 
 std::vector<TableId> RandomTableSet(Rng* rng, size_t num_tables) {
   int64_t max_pick = std::min<int64_t>(3, static_cast<int64_t>(num_tables));
@@ -202,151 +190,10 @@ void VerifyFinalState(const ReferenceModel& model, ConsistencyOracle* oracle) {
   }
 }
 
-/// Lockstep mode: ship one epoch, wait until the replayer consumed it (via
-/// the data/heartbeat counters — next_expected_epoch advances *before*
-/// ProcessEpoch runs, so it cannot serve as a consumption barrier), then run
-/// the oracle. This is the deterministic mode: every check sees exactly the
-/// same state on every run of the same spec.
-void RunLockstep(const ScenarioSpec& spec, const RecordedStream& stream,
-                 const ReferenceModel& model, const ReplayerFactory& factory,
-                 ViolationLog* log) {
-  EpochChannel channel(/*capacity=*/0);
-  std::unique_ptr<Replayer> replayer = factory(stream.catalog.get(), &channel);
-  ConsistencyOracle oracle(&model, replayer.get(), log);
-  AETS_CHECK(replayer->Start().ok());
-
-  Rng probe_rng(spec.seed ^ 0x5DEECE66Dull);
-  uint64_t data_sent = 0;
-  uint64_t hb_sent = 0;
-  bool stalled = false;
-  for (const ShippedEpoch& epoch : stream.epochs) {
-    if (epoch.is_heartbeat()) {
-      ++hb_sent;
-    } else {
-      ++data_sent;
-    }
-    AETS_CHECK(channel.Send(epoch));
-    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (replayer->stats().epochs.load(std::memory_order_acquire) <
-               data_sent ||
-           replayer->stats().heartbeats.load(std::memory_order_acquire) <
-               hb_sent) {
-      if (ReplayerErrored(replayer.get()) ||
-          std::chrono::steady_clock::now() > deadline) {
-        stalled = true;
-        break;
-      }
-      std::this_thread::yield();
-    }
-    if (stalled) {
-      log->Report(kInvariantReplayerError,
-                  replayer->name() + ": epoch " +
-                      std::to_string(epoch.epoch_id) +
-                      " was never consumed (stall or latched error)");
-      break;
-    }
-    // Between-epoch checks — the window where a watermark published ahead
-    // of its data (the injected off-by-one) is observable.
-    oracle.ObserveMonotonicity();
-    oracle.CheckWatermarks();
-    for (const TxnFootprint& fp : model.Footprints()) {
-      if (fp.epoch_id == epoch.epoch_id) oracle.CheckTxnAtomicity(fp);
-    }
-    const std::vector<Timestamp>& cts = model.CommitTimestamps();
-    if (!cts.empty()) {
-      for (int p = 0; p < 2; ++p) {
-        Timestamp qts = cts[static_cast<size_t>(probe_rng.UniformInt(
-            0, static_cast<int64_t>(cts.size()) - 1))];
-        oracle.CheckVisibleProbe(RandomTableSet(&probe_rng, spec.num_tables),
-                                 qts);
-      }
-    }
-  }
-  channel.Close();
-  replayer->Stop();
-  ReportReplayerError(replayer.get(), log);
-  if (!stalled && !ReplayerErrored(replayer.get())) {
-    VerifyFinalState(model, &oracle);
-  }
-}
-
-/// Concurrent mode: a fault-injecting link (seeded), prober threads hammering
-/// the oracle while replay runs, and optionally a live GC daemon whose pass
-/// hooks feed the oracle's GC horizon. Checks are sound under the races; the
-/// fault schedule and all probe draws derive from the scenario seed.
-void RunConcurrent(const ScenarioSpec& spec, const RecordedStream& stream,
-                   const ReferenceModel& model, const ReplayerFactory& factory,
-                   ViolationLog* log) {
-  FaultInjectingChannel channel(spec.faults, /*capacity=*/4096);
-  std::unique_ptr<Replayer> replayer = factory(stream.catalog.get(), &channel);
-  RecordedSource source(&stream.epochs);
-  replayer->SetEpochSource(&source);
-  if (auto* base = dynamic_cast<ReplayerBase*>(replayer.get())) {
-    ReplayRecoveryOptions fast;
-    fast.reorder_window_pauses = 256;
-    fast.max_retries = 16;
-    fast.max_pending = 4096;
-    base->SetRecoveryOptions(fast);
-  }
-  ConsistencyOracle oracle(&model, replayer.get(), log);
-
-  std::unique_ptr<GcDaemon> gc;
-  if (spec.with_gc) {
-    Replayer* rp = replayer.get();
-    gc = std::make_unique<GcDaemon>(
-        rp->store(), [rp] { return rp->GlobalVisibleTs(); },
-        spec.gc_retention, /*interval_us=*/500);
-    gc->SetPrePassHook(
-        [&oracle](Timestamp horizon) { oracle.RaiseGcFloor(horizon); });
-    gc->SetPostPassHook([&oracle](Timestamp horizon, size_t /*reclaimed*/) {
-      oracle.CheckGcSafety(horizon);
-    });
-  }
-
-  AETS_CHECK(replayer->Start().ok());
-  if (gc) gc->Start();
-
-  std::atomic<bool> done{false};
-  std::vector<std::thread> probers;
-  for (int p = 0; p < spec.probe_threads; ++p) {
-    probers.emplace_back([&, p] {
-      Rng rng(spec.seed * 1315423911ull + static_cast<uint64_t>(p) + 1);
-      const std::vector<Timestamp>& cts = model.CommitTimestamps();
-      const std::vector<TxnFootprint>& fps = model.Footprints();
-      while (!done.load(std::memory_order_acquire)) {
-        oracle.ObserveMonotonicity();
-        if (!cts.empty()) {
-          Timestamp qts = cts[static_cast<size_t>(
-              rng.UniformInt(0, static_cast<int64_t>(cts.size()) - 1))];
-          oracle.CheckVisibleProbe(RandomTableSet(&rng, spec.num_tables), qts);
-        }
-        if (!fps.empty()) {
-          oracle.CheckTxnAtomicity(fps[static_cast<size_t>(
-              rng.UniformInt(0, static_cast<int64_t>(fps.size()) - 1))]);
-        }
-        std::this_thread::yield();
-      }
-    });
-  }
-
-  for (const ShippedEpoch& epoch : stream.epochs) {
-    channel.Send(epoch);  // faults may silently drop; the NACK path recovers
-  }
-  channel.Close();
-  replayer->Stop();
-  if (gc) gc->Stop();
-  done.store(true, std::memory_order_release);
-  for (std::thread& t : probers) t.join();
-
-  ReportReplayerError(replayer.get(), log);
-  if (!ReplayerErrored(replayer.get())) {
-    VerifyFinalState(model, &oracle);
-  }
-}
-
 /// Builds the N shard replayers (factory called in shard order) behind the
-/// ShardedBackup facade, wiring channel s to shard s.
-std::unique_ptr<ShardedBackup> BuildShardedBackup(
+/// ShardedBackup facade, wiring channel s to shard s. One shard is the
+/// single backup: the facade routes every read to it unchanged.
+std::unique_ptr<ShardedBackup> BuildBackup(
     const RecordedStream& stream, const ReplayerFactory& factory,
     const std::vector<EpochChannel*>& channels) {
   std::vector<std::unique_ptr<Replayer>> shards;
@@ -358,21 +205,41 @@ std::unique_ptr<ShardedBackup> BuildShardedBackup(
                                          std::move(shards));
 }
 
+/// Shard s's sticky error (OK while healthy, and for replayers without a
+/// latch).
+Status ShardError(ShardedBackup* backup, int s) {
+  auto* base = dynamic_cast<ReplayerBase*>(backup->shard(s));
+  return base == nullptr ? Status::OK() : base->error();
+}
+
 bool AnyShardErrored(ShardedBackup* backup) {
   for (int s = 0; s < backup->num_shards(); ++s) {
-    if (ReplayerErrored(backup->shard(s))) return true;
+    if (!ShardError(backup, s).ok()) return true;
   }
   return false;
 }
 
-/// Sharded lockstep: ship epoch i's sub-epoch to every shard, wait until
-/// every shard consumed its sub-epoch (some as data, some as synthetic
-/// heartbeats), then run the cross-shard oracle checks through the facade —
-/// the window where a coordinator promising more than the slowest shard
-/// replayed would serve a torn cross-shard snapshot.
-void RunShardedLockstep(const ScenarioSpec& spec, const RecordedStream& stream,
-                        const ReferenceModel& model,
-                        const ReplayerFactory& factory, ViolationLog* log) {
+void ReportShardErrors(ShardedBackup* backup, ViolationLog* log) {
+  for (int s = 0; s < backup->num_shards(); ++s) {
+    Status st = ShardError(backup, s);
+    if (!st.ok()) {
+      log->Report(kInvariantReplayerError,
+                  backup->shard(s)->name() + ": " + st.ToString());
+    }
+  }
+}
+
+/// Lockstep mode: ship epoch i's sub-epoch to every shard, wait until every
+/// shard consumed it (via the data/heartbeat counters — next_expected_epoch
+/// advances *before* ProcessEpoch runs, so it cannot serve as a consumption
+/// barrier), then run the oracle through the facade. This is the
+/// deterministic mode: every check sees exactly the same state on every run
+/// of the same spec. The between-epoch window is where a watermark published
+/// ahead of its data (the injected off-by-one), or a coordinator promising
+/// more than the slowest shard replayed, is observable.
+void RunLockstep(const ScenarioSpec& spec, const RecordedStream& stream,
+                 const ReferenceModel& model, const ReplayerFactory& factory,
+                 ViolationLog* log) {
   const size_t n = static_cast<size_t>(spec.shard_count);
   std::vector<std::unique_ptr<EpochChannel>> channels;
   std::vector<EpochChannel*> chans;
@@ -380,8 +247,7 @@ void RunShardedLockstep(const ScenarioSpec& spec, const RecordedStream& stream,
     channels.push_back(std::make_unique<EpochChannel>(/*capacity=*/0));
     chans.push_back(channels.back().get());
   }
-  std::unique_ptr<ShardedBackup> backup =
-      BuildShardedBackup(stream, factory, chans);
+  std::unique_ptr<ShardedBackup> backup = BuildBackup(stream, factory, chans);
   ConsistencyOracle oracle(&model, backup.get(), log);
   AETS_CHECK(backup->Start().ok());
 
@@ -391,7 +257,7 @@ void RunShardedLockstep(const ScenarioSpec& spec, const RecordedStream& stream,
   bool stalled = false;
   for (size_t i = 0; i < stream.epochs.size() && !stalled; ++i) {
     for (size_t s = 0; s < n; ++s) {
-      const ShippedEpoch& sub = stream.shard_epochs[s][i];
+      const ShippedEpoch& sub = stream.lane(s)[i];
       if (sub.is_heartbeat()) {
         ++hb_sent[s];
       } else {
@@ -435,8 +301,8 @@ void RunShardedLockstep(const ScenarioSpec& spec, const RecordedStream& stream,
         oracle.CheckVisibleProbe(RandomTableSet(&probe_rng, spec.num_tables),
                                  qts);
       }
-      // Pinned cross-shard snapshot: everything at or below the handle's
-      // timestamp must read exactly on every table, whichever shard owns it.
+      // Pinned snapshot: everything at or below the handle's timestamp must
+      // read exactly on every table, whichever shard owns it.
       SnapshotHandle snap = backup->coordinator().AcquireSnapshot();
       if (snap.ts() != kInvalidTimestamp) {
         Timestamp qts = std::min(snap.ts(), model.MaxVisibleTs());
@@ -448,39 +314,37 @@ void RunShardedLockstep(const ScenarioSpec& spec, const RecordedStream& stream,
   }
   for (auto& channel : channels) channel->Close();
   backup->Stop();
-  for (int s = 0; s < backup->num_shards(); ++s) {
-    ReportReplayerError(backup->shard(s), log);
-  }
+  ReportShardErrors(backup.get(), log);
   if (!stalled && !AnyShardErrored(backup.get())) {
     VerifyFinalState(model, &oracle);
   }
 }
 
-/// Sharded concurrent: one fault-injecting link per shard (each lane gets
-/// its own seeded fault schedule), per-shard NACK sources, probers pinning
-/// cross-shard snapshots while replay and (optionally) per-shard GC race
-/// underneath. GC prunes against the coordinator's GcHorizon — the global
-/// safe frontier min the oldest pinned snapshot — never a single shard's
-/// own watermark.
-void RunShardedConcurrent(const ScenarioSpec& spec,
-                          const RecordedStream& stream,
-                          const ReferenceModel& model,
-                          const ReplayerFactory& factory, ViolationLog* log) {
+/// Concurrent mode: one fault-injecting link per shard (lane s draws its
+/// schedule from spec.faults.seed + s·φ, so lane 0 keeps the spec's seed),
+/// per-shard NACK sources over the recorded lanes, prober threads hammering
+/// the oracle and pinning snapshots while replay and (optionally) per-shard
+/// GC race underneath. GC prunes against the coordinator's GcHorizon — the
+/// global safe frontier min the oldest pinned snapshot — never a single
+/// shard's own watermark. Checks are sound under the races; the fault
+/// schedule and all probe draws derive from the scenario seed.
+void RunConcurrent(const ScenarioSpec& spec, const RecordedStream& stream,
+                   const ReferenceModel& model, const ReplayerFactory& factory,
+                   ViolationLog* log) {
   const size_t n = static_cast<size_t>(spec.shard_count);
   std::vector<std::unique_ptr<FaultInjectingChannel>> channels;
   std::vector<EpochChannel*> chans;
   for (size_t s = 0; s < n; ++s) {
     FaultProfile faults = spec.faults;
-    faults.seed = spec.faults.seed + 0x9E3779B97F4A7C15ull * (s + 1);
+    faults.seed = spec.faults.seed + 0x9E3779B97F4A7C15ull * s;
     channels.push_back(
         std::make_unique<FaultInjectingChannel>(faults, /*capacity=*/4096));
     chans.push_back(channels.back().get());
   }
-  std::unique_ptr<ShardedBackup> backup =
-      BuildShardedBackup(stream, factory, chans);
+  std::unique_ptr<ShardedBackup> backup = BuildBackup(stream, factory, chans);
   std::vector<std::unique_ptr<RecordedSource>> sources;
   for (size_t s = 0; s < n; ++s) {
-    sources.push_back(std::make_unique<RecordedSource>(&stream.shard_epochs[s]));
+    sources.push_back(std::make_unique<RecordedSource>(&stream.lane(s)));
     backup->SetShardEpochSource(static_cast<int>(s), sources.back().get());
     if (auto* base = dynamic_cast<ReplayerBase*>(
             backup->shard(static_cast<int>(s)))) {
@@ -531,9 +395,9 @@ void RunShardedConcurrent(const ScenarioSpec& spec,
           oracle.CheckTxnAtomicity(fps[static_cast<size_t>(
               rng.UniformInt(0, static_cast<int64_t>(fps.size()) - 1))]);
         }
-        // Pin an exact cross-shard view and read a random table set at the
-        // pinned timestamp while replay and GC race underneath — the pin
-        // must keep every version the snapshot can see alive.
+        // Pin an exact view and read a random table set at the pinned
+        // timestamp while replay and GC race underneath — the pin must keep
+        // every version the snapshot can see alive.
         SnapshotHandle snap = backup->coordinator().AcquireSnapshot();
         if (snap.ts() != kInvalidTimestamp &&
             model.MaxVisibleTs() != kInvalidTimestamp) {
@@ -549,7 +413,7 @@ void RunShardedConcurrent(const ScenarioSpec& spec,
 
   for (size_t i = 0; i < stream.epochs.size(); ++i) {
     for (size_t s = 0; s < n; ++s) {
-      chans[s]->Send(stream.shard_epochs[s][i]);  // faults may drop; NACK recovers
+      chans[s]->Send(stream.lane(s)[i]);  // faults may drop; NACK recovers
     }
   }
   for (auto& channel : channels) channel->Close();
@@ -558,9 +422,7 @@ void RunShardedConcurrent(const ScenarioSpec& spec,
   done.store(true, std::memory_order_release);
   for (std::thread& t : probers) t.join();
 
-  for (int s = 0; s < backup->num_shards(); ++s) {
-    ReportReplayerError(backup->shard(s), log);
-  }
+  ReportShardErrors(backup.get(), log);
   if (!AnyShardErrored(backup.get())) {
     VerifyFinalState(model, &oracle);
   }
@@ -645,13 +507,7 @@ ScenarioResult RunScenario(const ScenarioSpec& spec,
     AETS_CHECK_MSG(s.ok(), "reference model rejected the recorded stream");
   }
   ViolationLog log;
-  if (spec.shard_count > 1) {
-    if (spec.mode == SimMode::kLockstep) {
-      RunShardedLockstep(spec, stream, model, factory, &log);
-    } else {
-      RunShardedConcurrent(spec, stream, model, factory, &log);
-    }
-  } else if (spec.mode == SimMode::kLockstep) {
+  if (spec.mode == SimMode::kLockstep) {
     RunLockstep(spec, stream, model, factory, &log);
   } else {
     RunConcurrent(spec, stream, model, factory, &log);

@@ -64,13 +64,13 @@ struct ScenarioSpec {
   Timestamp gc_retention = 8;
   int probe_threads = 2;
 
-  /// Shards the backup (DESIGN.md §11): with shard_count > 1 the stream is
-  /// re-recorded through a sharded LogShipper (hash shard map over the
-  /// catalog), one replayer per shard is built behind a ShardedBackup, and
-  /// the oracle probes cross-shard snapshots through the facade. The
+  /// Backup shards (DESIGN.md §11). The replay side is always N replayers
+  /// behind a ShardedBackup over ShardMap::Hash(num_tables, N), and the
+  /// oracle probes (pinned) snapshots through the facade. At N = 1 the one
+  /// lane replays the recorded reference stream itself; N > 1 re-records
+  /// the workload through a sharded LogShipper for the per-shard lanes. The
   /// factory is invoked once per shard, in shard order 0..N-1 (a test that
-  /// must perturb one specific shard can count invocations). 1 = the
-  /// classic single-backup harness.
+  /// must perturb one specific shard can count invocations).
   int shard_count = 1;
 };
 
@@ -101,9 +101,9 @@ ScenarioSpec GenerateScenario(uint64_t seed);
 /// builds the reference model, replays the stream into `factory`'s replayer
 /// under the scenario's mode, and returns every invariant violation the
 /// oracle found. Deterministic for kLockstep specs: identical specs yield
-/// identical results. With spec.shard_count > 1 the replay side runs N
-/// shards behind a ShardedBackup (the reference model still consumes the
-/// unsharded stream — the ground truth is shard-free by construction).
+/// identical results. The replay side runs spec.shard_count shards behind a
+/// ShardedBackup; the reference model consumes the unsharded stream (the
+/// ground truth is shard-free by construction).
 ScenarioResult RunScenario(const ScenarioSpec& spec,
                            const ReplayerFactory& factory);
 

@@ -530,6 +530,43 @@ TEST(NetStreamTest, CleanTcpStreamIsDigestIdenticalToInProcess) {
   server.Stop();
 }
 
+TEST(NetStreamTest, EpochShippedRightAfterStartArrivesLive) {
+  // Start() returns only once the server has attached the subscriber's
+  // channel, so an epoch shipped the moment it returns must ride the live
+  // stream, not the NACK path.
+  NetRig rig(/*num_tables=*/2);
+  EpochStreamServer server(&rig.shipper);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  EpochChannel sink(1024);
+  EpochStreamClient client("127.0.0.1", server.port(), /*shard=*/0, &sink);
+  TcpEpochSourceOptions source_options;
+  source_options.io_timeout_ms = 2000;
+  TcpEpochSource source("127.0.0.1", server.port(), /*shard=*/0,
+                        source_options);
+  SerialReplayer replayer(rig.catalog.get(), &sink);
+  replayer.SetEpochSource(&source);
+  replayer.SetRecoveryOptions(FastRecovery());
+  ASSERT_TRUE(source.Connect().ok());
+  ASSERT_TRUE(replayer.Start().ok());
+  ASSERT_TRUE(client.Start().ok());
+
+  RunRandomWorkload(&rig.db, 2, 1, test::DeriveSeed(550));
+  rig.shipper.FlushEpoch();
+  rig.shipper.Finish();
+
+  replayer.Stop();
+  EXPECT_TRUE(replayer.error().ok()) << replayer.error().ToString();
+  Timestamp final_ts = rig.db.last_commit_ts();
+  EXPECT_EQ(replayer.store()->DigestAt(final_ts),
+            rig.db.store().DigestAt(final_ts));
+  EXPECT_EQ(client.epochs_received(), 1u);
+  EXPECT_EQ(rig.shipper.retransmits(), 0u);
+
+  client.Stop();
+  server.Stop();
+}
+
 TEST(NetStreamTest, ChaosLinkFaultsAreRecoveredByNackOverTcp) {
   for (int iter = 0; iter < g_chaos_iters; ++iter) {
     SCOPED_TRACE("chaos iter " + std::to_string(iter));

@@ -1,7 +1,8 @@
-// Zero-copy decode tests: DecodeView must agree with the owning Decode on
-// every record (all value types, NULLs, empty strings, wide rows), reject
-// the same truncations/corruptions, and PackedDelta must round-trip through
-// both the wire form and ColumnValue vectors, including the GC fold.
+// Zero-copy decode tests: DecodeView must reproduce every encoded record
+// (all value types, NULLs, empty strings, wide rows) both field by field and
+// materialized, reject truncations/corruptions, and PackedDelta must
+// round-trip through both the wire form and ColumnValue vectors, including
+// the GC fold.
 
 #include <gtest/gtest.h>
 
@@ -49,12 +50,12 @@ LogRecord RandomDml(Rng* rng, int num_cols) {
                         rng->Next(), rng->Next());
 }
 
-// Property: for every record the view decode and the owning decode agree
-// field-for-field, Materialize() reproduces the original record exactly, and
-// both decoders consume the same number of bytes.
+// Property: for every record the view decode agrees field-for-field with
+// the LogRecord that was encoded, Materialize() reproduces that record
+// exactly, and the decodes consume exactly the encoded bytes.
 class ViewCodecFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ViewCodecFuzzTest, DecodeViewAgreesWithDecode) {
+TEST_P(ViewCodecFuzzTest, DecodeViewReproducesEncodedRecord) {
   Rng rng(GetParam());
   std::vector<LogRecord> records;
   for (int i = 0; i < 150; ++i) {
@@ -75,13 +76,9 @@ TEST_P(ViewCodecFuzzTest, DecodeViewAgreesWithDecode) {
   std::string buf = LogCodec::EncodeAll(records);
 
   size_t view_offset = 0;
-  size_t own_offset = 0;
   for (const LogRecord& expected : records) {
     auto view = LogCodec::DecodeView(buf, &view_offset);
-    auto owned = LogCodec::Decode(buf, &own_offset);
     ASSERT_TRUE(view.ok()) << view.status().ToString();
-    ASSERT_TRUE(owned.ok()) << owned.status().ToString();
-    EXPECT_EQ(view_offset, own_offset);
 
     EXPECT_EQ(view->type, expected.type);
     EXPECT_EQ(view->lsn, expected.lsn);
@@ -93,7 +90,7 @@ TEST_P(ViewCodecFuzzTest, DecodeViewAgreesWithDecode) {
       EXPECT_EQ(view->prev_txn_id, expected.prev_txn_id);
       EXPECT_EQ(view->row_seq, expected.row_seq);
       ASSERT_EQ(view->num_values, expected.values.size());
-      // Walk the zero-copy reader against the owned values.
+      // Walk the zero-copy reader against the encoded values.
       DeltaReader reader = view->values();
       for (const ColumnValue& cv : expected.values) {
         ColumnId col;
@@ -107,7 +104,6 @@ TEST_P(ViewCodecFuzzTest, DecodeViewAgreesWithDecode) {
       EXPECT_FALSE(reader.Next(&col, &vv));
     }
     EXPECT_EQ(view->Materialize(), expected);
-    EXPECT_EQ(*owned, expected);
   }
   EXPECT_EQ(view_offset, buf.size());
 }
