@@ -6,6 +6,22 @@
 
 namespace aets {
 
+namespace {
+
+void PutLe(uint64_t v, int bytes, std::string* out) {
+  for (int i = 0; i < bytes; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+}
+
+uint64_t GetLe(const char* p, int bytes) {
+  uint64_t v = 0;
+  for (int i = 0; i < bytes; ++i) {
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
+  }
+  return v;
+}
+
+}  // namespace
+
 ShippedEpoch EncodeEpoch(const Epoch& epoch) {
   ShippedEpoch out;
   out.epoch_id = epoch.epoch_id;
@@ -39,6 +55,41 @@ bool ShippedEpoch::PayloadIntact() const {
   const char* data = payload ? payload->data() : nullptr;
   size_t n = payload ? payload->size() : 0;
   return Crc32c(data, n) == payload_crc;
+}
+
+void EncodeEpochBody(const ShippedEpoch& epoch, std::string* out) {
+  const size_t payload_len = epoch.ByteSize();
+  out->reserve(out->size() + kEpochBodyFixedBytes + payload_len);
+  for (uint64_t v : {uint64_t{epoch.epoch_id}, uint64_t{epoch.heartbeat_ts},
+                     uint64_t{epoch.max_commit_ts}, uint64_t{epoch.num_txns},
+                     uint64_t{epoch.num_records}, uint64_t{epoch.first_txn},
+                     uint64_t{epoch.last_txn}}) {
+    PutLe(v, 8, out);
+  }
+  PutLe(epoch.payload_crc, 4, out);
+  PutLe(payload_len, 4, out);
+  if (payload_len > 0) out->append(*epoch.payload);
+}
+
+Result<ShippedEpoch> DecodeEpochBody(std::string_view body) {
+  if (body.size() < kEpochBodyFixedBytes ||
+      GetLe(body.data() + kEpochBodyFixedBytes - 4, 4) !=
+          body.size() - kEpochBodyFixedBytes) {
+    return Status::Corruption("malformed epoch frame body");
+  }
+  const char* p = body.data();
+  ShippedEpoch epoch;
+  epoch.epoch_id = GetLe(p, 8);
+  epoch.heartbeat_ts = GetLe(p + 8, 8);
+  epoch.max_commit_ts = GetLe(p + 16, 8);
+  epoch.num_txns = GetLe(p + 24, 8);
+  epoch.num_records = GetLe(p + 32, 8);
+  epoch.first_txn = GetLe(p + 40, 8);
+  epoch.last_txn = GetLe(p + 48, 8);
+  epoch.payload_crc = static_cast<uint32_t>(GetLe(p + 56, 4));
+  epoch.payload = std::make_shared<const std::string>(
+      body.substr(kEpochBodyFixedBytes));
+  return epoch;
 }
 
 Result<Epoch> DecodeEpoch(const ShippedEpoch& shipped) {

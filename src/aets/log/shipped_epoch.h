@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "aets/common/result.h"
 #include "aets/log/epoch.h"
@@ -49,6 +50,20 @@ ShippedEpoch EncodeEpoch(const Epoch& epoch);
 
 /// Builds a heartbeat epoch.
 ShippedEpoch MakeHeartbeatEpoch(EpochId id, Timestamp ts);
+
+/// The one byte layout of a ShippedEpoch outside memory: the body of a
+/// durable segment frame (DESIGN.md §10) and of a kEpoch/kFetchOk wire frame
+/// (DESIGN.md §12). All integers little-endian:
+///   u64 epoch_id | u64 heartbeat_ts | u64 max_commit_ts | u64 num_txns |
+///   u64 num_records | u64 first_txn | u64 last_txn | u32 payload_crc |
+///   u32 payload_len | payload
+/// DecodeEpochBody checks every bound (payload_len must match the body size
+/// exactly, else Corruption) but NOT the payload CRC — the receiver's normal
+/// ingest path does that (PayloadIntact), keeping the corruption handling
+/// single-pathed. The frame around the body carries its own CRC.
+constexpr size_t kEpochBodyFixedBytes = 7 * 8 + 2 * 4;
+void EncodeEpochBody(const ShippedEpoch& epoch, std::string* out);
+Result<ShippedEpoch> DecodeEpochBody(std::string_view body);
 
 /// Fully decodes a shipped epoch back into transaction logs through the
 /// framing walker (used by tests, the serial oracle, the reference model and

@@ -116,7 +116,6 @@ void EpochStreamServer::RunSession(TcpSocket socket) {
     subscribers_accepted_.fetch_add(1, std::memory_order_relaxed);
     RunSubscriber(std::move(socket), hello->shard);
   } else {
-    control_accepted_.fetch_add(1, std::memory_order_relaxed);
     // The decoder moves along with the socket: a pipelined first request may
     // already sit (whole or partial) in its buffer after the Hello read.
     RunControl(std::move(socket), std::move(decoder), hello->shard);

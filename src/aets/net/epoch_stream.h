@@ -75,9 +75,6 @@ class EpochStreamServer {
   uint64_t subscribers_accepted() const {
     return subscribers_accepted_.load(std::memory_order_relaxed);
   }
-  uint64_t control_accepted() const {
-    return control_accepted_.load(std::memory_order_relaxed);
-  }
 
  private:
   void AcceptLoop();
@@ -98,7 +95,6 @@ class EpochStreamServer {
   std::thread accept_thread_;
   std::atomic<bool> stop_{false};
   std::atomic<uint64_t> subscribers_accepted_{0};
-  std::atomic<uint64_t> control_accepted_{0};
 
   std::mutex sessions_mu_;
   struct Session {

@@ -205,38 +205,6 @@ void FrameDecoder::Reset() {
   error_ = Status::OK();
 }
 
-void EncodeEpochBody(const ShippedEpoch& epoch, std::string* out) {
-  PutU64(epoch.epoch_id, out);
-  PutU64(epoch.heartbeat_ts, out);
-  PutU64(epoch.max_commit_ts, out);
-  PutU64(epoch.num_txns, out);
-  PutU64(epoch.num_records, out);
-  PutU64(epoch.first_txn, out);
-  PutU64(epoch.last_txn, out);
-  PutU32(epoch.payload_crc, out);
-  const size_t payload_len = epoch.payload ? epoch.payload->size() : 0;
-  PutU32(static_cast<uint32_t>(payload_len), out);
-  if (payload_len > 0) out->append(*epoch.payload);
-}
-
-Result<ShippedEpoch> DecodeEpochBody(std::string_view body) {
-  BodyReader in(body);
-  ShippedEpoch epoch;
-  epoch.epoch_id = in.U64();
-  epoch.heartbeat_ts = in.U64();
-  epoch.max_commit_ts = in.U64();
-  epoch.num_txns = in.U64();
-  epoch.num_records = in.U64();
-  epoch.first_txn = in.U64();
-  epoch.last_txn = in.U64();
-  epoch.payload_crc = in.U32();
-  uint32_t payload_len = in.U32();
-  std::string_view payload = in.Bytes(payload_len);
-  if (in.failed() || !in.exhausted()) return BodyCorruption("epoch");
-  epoch.payload = std::make_shared<const std::string>(payload);
-  return epoch;
-}
-
 void EncodeHelloBody(const HelloBody& hello, std::string* out) {
   PutU32(static_cast<uint32_t>(hello.role), out);
   PutU32(hello.shard, out);

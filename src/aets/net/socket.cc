@@ -158,21 +158,6 @@ Result<size_t> TcpSocket::ReadSome(void* buf, size_t n, int timeout_ms) {
   }
 }
 
-Status TcpSocket::ReadAll(void* buf, size_t n, int timeout_ms) {
-  char* p = static_cast<char*>(buf);
-  size_t off = 0;
-  while (off < n) {
-    Result<size_t> got = ReadSome(p + off, n - off, timeout_ms);
-    if (!got.ok()) return got.status();
-    if (*got == 0) {
-      return Status::Aborted("peer closed mid-read (" + std::to_string(off) +
-                             "/" + std::to_string(n) + " bytes)");
-    }
-    off += *got;
-  }
-  return Status::OK();
-}
-
 void TcpSocket::ShutdownSend() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
 }

@@ -60,9 +60,6 @@ class TcpSocket {
   /// passes with nothing readable, Aborted on reset.
   Result<size_t> ReadSome(void* buf, size_t n, int timeout_ms);
 
-  /// Reads exactly `n` bytes; EOF mid-read is Aborted (a torn frame).
-  Status ReadAll(void* buf, size_t n, int timeout_ms);
-
   /// Half-close: the peer's next read sees EOF. Mid-frame-disconnect tests
   /// use this to tear a frame deterministically.
   void ShutdownSend();

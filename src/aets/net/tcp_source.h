@@ -19,7 +19,7 @@ struct TcpEpochSourceOptions {
   int io_timeout_ms = 5'000;
   int connect_timeout_ms = 5'000;
   /// RPC attempts per call (each failed attempt reconnects first). A call
-  /// that exhausts the budget reports "miss"/cached — the ReplayerBase
+  /// that exhausts the budget reports "miss"/cached — the EpochSequencer
   /// retry protocol (ReplayRecoveryOptions::max_retries) decides when a
   /// persistent miss becomes a latched loss.
   int max_attempts = 3;

@@ -19,11 +19,11 @@ namespace {
 constexpr double kHotRateThreshold = 0.5;
 
 /// Columnar publish amortization (storage::ColumnStoreOptions
-/// ::publish_min_dirty): the background merge worker only rolls a table's
-/// dirty backlog into new chunks once it reaches max(this, live_rows/8);
-/// until then queries resolve the backlog through the residual top-up.
-/// Heartbeats and shutdown force-flush, so an idle or drained backup is
-/// always fully chunked.
+/// ::publish_min_dirty): the column store's merge worker only rolls a
+/// table's dirty backlog into new chunks once it reaches max(this,
+/// live_rows/8); until then queries resolve the backlog through the residual
+/// top-up. Heartbeats and shutdown force-flush, so an idle or drained backup
+/// is always fully chunked.
 constexpr size_t kColumnPublishMinDirty = 4096;
 
 }  // namespace
@@ -42,6 +42,11 @@ AetsReplayer::AetsReplayer(const Catalog* catalog, EpochChannel* channel,
     : ReplayerBase(catalog, channel, options.name),
       options_(std::move(options)),
       table_ts_(catalog->num_tables()),
+      column_store_(std::make_unique<storage::ColumnStore>(
+          catalog, &store_,
+          storage::ColumnStoreOptions{
+              .chunk_rows = options_.column_chunk_rows,
+              .publish_min_dirty = kColumnPublishMinDirty})),
       commit_spin_waits_metric_(obs::GetCounter("replay.commit_spin_waits")),
       regroup_metric_(obs::GetCounter("allocator.regroups")),
       realloc_metric_(obs::GetCounter("allocator.reallocations")),
@@ -52,12 +57,6 @@ AetsReplayer::AetsReplayer(const Catalog* catalog, EpochChannel* channel,
   current_rates_.resize(catalog_->num_tables(), 0.0);
   RebuildGroups(current_rates_);
   SetPipelineDepth(options_.pipeline_depth);
-  if (options_.column_store_enabled) {
-    storage::ColumnStoreOptions cs;
-    cs.chunk_rows = options_.column_chunk_rows;
-    cs.publish_min_dirty = kColumnPublishMinDirty;
-    EnableColumnStore(cs);
-  }
 }
 
 AetsReplayer::~AetsReplayer() { Stop(); }
@@ -80,8 +79,18 @@ Status AetsReplayer::StartWorkers() {
 }
 
 void AetsReplayer::StopWorkers() {
+  // The stream is drained: flush whatever backlog the merge worker and the
+  // publish threshold were still batching, so a caught-up backup serves
+  // every table from chunks. A latched backup publishes nothing more.
+  column_store_->StopMerge(HasError() ? kInvalidTimestamp : GlobalVisibleTs());
   replay_pool_.reset();
   commit_pool_.reset();
+}
+
+void AetsReplayer::OnPublished(Timestamp ts, bool heartbeat) {
+  // A heartbeat means the stream is idle, so it also drains any backlog the
+  // publish-amortization threshold held back.
+  column_store_->RequestPublish(ts, /*force=*/heartbeat);
 }
 
 Timestamp AetsReplayer::TableVisibleTs(TableId table) const {
@@ -103,25 +112,24 @@ AetsReplayer::grouping_snapshot() const {
 
 Status AetsReplayer::Bootstrap(const std::string& checkpoint_path) {
   if (started()) return Status::InvalidArgument("Bootstrap after Start");
-  if (expected_epoch_ != 0 || GlobalVisibleTs() != kInvalidTimestamp) {
+  if (next_expected_epoch() != 0 || GlobalVisibleTs() != kInvalidTimestamp) {
     return Status::InvalidArgument("Bootstrap on a non-fresh replayer");
   }
   auto info = Checkpointer::Restore(checkpoint_path, &store_);
   if (!info.ok()) return info.status();
   AdvanceGlobalTs(info->snapshot_ts);
-  expected_epoch_ = info->next_epoch_id;
+  sequencer_.Arm(info->next_epoch_id);
   // Seed generation 0 of the columnar projections from the restored rows —
   // without this, keys that never change again would stay invisible to the
   // column path forever (chunks only track dirty keys).
-  if (column_store() != nullptr) {
-    column_store()->SeedFromRows(info->snapshot_ts);
-  }
+  column_store_->SeedFromRows(info->snapshot_ts);
   return Status::OK();
 }
 
 Status AetsReplayer::WriteCheckpoint(const std::string& path) const {
   if (started()) return Status::InvalidArgument("WriteCheckpoint while running");
-  return Checkpointer::Write(store_, GlobalVisibleTs(), expected_epoch_, path);
+  return Checkpointer::Write(store_, GlobalVisibleTs(), next_expected_epoch(),
+                            path);
 }
 
 Status AetsReplayer::WriteLiveCheckpoint(const std::string& path) const {
@@ -456,10 +464,8 @@ void AetsReplayer::CommitGroup(GroupEpochState* gs, const TableGroup& group) {
     // observes tg_cmt_ts >= frag->commit_ts must also observe these keys in
     // the pending dirty set (mutex release → release-store → acquire-load →
     // mutex acquire), or its residual top-up would miss them.
-    if (storage::ColumnStore* cs = column_store()) {
-      for (const auto& pc : frag->cells) {
-        cs->NoteDirty(pc.table, pc.node->row_key(), frag->commit_ts);
-      }
+    for (const auto& pc : frag->cells) {
+      column_store_->NoteDirty(pc.table, pc.node->row_key(), frag->commit_ts);
     }
     for (TableId t : group.tables) {
       StoreMaxTimestamp(table_ts_[t], frag->commit_ts + options_.test_tg_publish_skew);

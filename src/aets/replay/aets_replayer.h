@@ -17,6 +17,7 @@
 #include "aets/replay/thread_allocator.h"
 #include "aets/replication/channel.h"
 #include "aets/storage/checkpoint.h"
+#include "aets/storage/column_store.h"
 #include "aets/storage/table_store.h"
 
 namespace aets {
@@ -80,13 +81,10 @@ struct AetsOptions {
 
   // ---- Columnar projections (DESIGN.md §13) -----------------------------
 
-  /// Maintain watermark-versioned columnar chunks incrementally at epoch
-  /// commit, so analytic scans (ChQueryExecutor, QueryServer) run
-  /// vectorized over column vectors instead of walking version chains.
-  /// False restores the pure row-store backup (all scans take the row
-  /// path).
-  bool column_store_enabled = true;
-  /// Target rows per columnar chunk (storage::ColumnStoreOptions).
+  /// Target rows per columnar chunk (storage::ColumnStoreOptions). The
+  /// backup always maintains watermark-versioned columnar chunks, so
+  /// analytic scans (ChQueryExecutor, QueryServer) run vectorized over
+  /// column vectors instead of walking version chains.
   size_t column_chunk_rows = 4096;
   /// Display name (baselines built on this engine override it).
   std::string name = "AETS";
@@ -141,6 +139,15 @@ class AetsReplayer : public ReplayerBase {
   /// between epochs.
   Status WriteLiveCheckpoint(const std::string& path) const;
 
+  /// The columnar projections of this backup (DESIGN.md §13): the commit
+  /// path feeds their dirty sets, each published watermark is posted to
+  /// their merge worker, and Stop() leaves them fully chunked.
+  storage::ColumnStore* column_store() { return column_store_.get(); }
+  const storage::ColumnStore* ColumnStoreForTable(
+      TableId /*table*/) const override {
+    return column_store_.get();
+  }
+
  protected:
   Status StartWorkers() override;
   void StopWorkers() override;
@@ -148,6 +155,7 @@ class AetsReplayer : public ReplayerBase {
       const ShippedEpoch& epoch) override;
   void CommitEpoch(const ShippedEpoch& epoch,
                    std::unique_ptr<PreparedEpoch> prepared) override;
+  void OnPublished(Timestamp ts, bool heartbeat) override;
 
  private:
   /// A translated-but-uncommitted cell: the TPLR phase-1 output. Holds the
@@ -232,6 +240,7 @@ class AetsReplayer : public ReplayerBase {
   /// base's global watermark covers every table at epoch end, heartbeats
   /// and Bootstrap.
   std::vector<std::atomic<Timestamp>> table_ts_;
+  std::unique_ptr<storage::ColumnStore> column_store_;
 
   mutable std::mutex groups_mu_;
   std::shared_ptr<const GroupingSnapshot> grouping_;

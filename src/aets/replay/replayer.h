@@ -125,9 +125,9 @@ class Replayer {
   virtual TableStore* StoreForTable(TableId /*table*/) { return store(); }
 
   /// The columnar projection covering `table`, or nullptr when this
-  /// replayer maintains none (disabled, or a baseline without the commit
-  /// hook) — callers fall back to the row path. The ShardedBackup facade
-  /// routes to the owning shard's store.
+  /// replayer maintains none (only AETS does; the ATR, C5 and Serial
+  /// baselines keep rows only) — callers fall back to the row path. The
+  /// ShardedBackup facade routes to the owning shard's store.
   virtual const storage::ColumnStore* ColumnStoreForTable(
       TableId /*table*/) const {
     return nullptr;

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "aets/common/backoff.h"
 #include "aets/common/clock.h"
 
 namespace aets {
@@ -14,6 +13,7 @@ ReplayerBase::ReplayerBase(const Catalog* catalog, EpochChannel* channel,
     : catalog_(catalog),
       channel_(channel),
       store_(*catalog),
+      sequencer_(&stats_),
       name_(std::move(name)),
       epochs_applied_metric_(obs::GetCounter("replay.epochs_applied")),
       txns_applied_metric_(obs::GetCounter("replay.txns_applied")),
@@ -21,11 +21,6 @@ ReplayerBase::ReplayerBase(const Catalog* catalog, EpochChannel* channel,
       bytes_applied_metric_(obs::GetCounter("replay.bytes_applied")),
       heartbeats_applied_metric_(
           obs::GetCounter("replay.heartbeats_applied")),
-      epochs_retried_metric_(obs::GetCounter("replay.epochs_retried")),
-      duplicates_dropped_metric_(
-          obs::GetCounter("replay.epochs_duplicate_dropped")),
-      corrupt_dropped_metric_(
-          obs::GetCounter("replay.epochs_corrupt_dropped")),
       pipeline_stalls_metric_(obs::GetCounter("pipeline.stalls")),
       pipeline_depth_metric_(obs::GetGauge("pipeline.depth")),
       pipeline_occupancy_metric_(obs::GetGauge("pipeline.occupancy")),
@@ -48,20 +43,13 @@ void ReplayerBase::SetEpochSource(EpochSource* source) {
 void ReplayerBase::SetRecoveryOptions(const ReplayRecoveryOptions& options) {
   std::lock_guard<std::mutex> lk(lifecycle_mu_);
   if (started_.load(std::memory_order_relaxed)) return;
-  recovery_ = options;
+  sequencer_.set_options(options);
 }
 
 void ReplayerBase::SetPipelineDepth(int depth) {
   std::lock_guard<std::mutex> lk(lifecycle_mu_);
   if (started_.load(std::memory_order_relaxed)) return;
   pipeline_depth_ = depth;
-}
-
-void ReplayerBase::EnableColumnStore(storage::ColumnStoreOptions options) {
-  std::lock_guard<std::mutex> lk(lifecycle_mu_);
-  if (started_.load(std::memory_order_relaxed)) return;
-  column_store_ =
-      std::make_unique<storage::ColumnStore>(catalog_, &store_, options);
 }
 
 void ReplayerBase::SetCommitHookForTest(
@@ -84,12 +72,6 @@ Status ReplayerBase::Start() {
   if (!s.ok()) return s;
   pipeline_depth_metric_->Set(pipeline_depth_);
   started_.store(true, std::memory_order_release);
-  if (column_store_ != nullptr) {
-    col_requested_ = kInvalidTimestamp;
-    col_force_ = false;
-    col_stop_ = false;
-    column_thread_ = std::thread([this] { ColumnMergeLoop(); });
-  }
   pipe_.reset();
   if (pipeline_depth_ > 1) {
     pipe_ = std::make_unique<BlockingQueue<PipelineItem>>(
@@ -116,20 +98,6 @@ void ReplayerBase::Stop() {
   // in this order leaves the commit queue fully consumed.
   if (main_thread_.joinable()) main_thread_.join();
   if (commit_thread_.joinable()) commit_thread_.join();
-  if (column_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lk(col_mu_);
-      col_stop_ = true;
-    }
-    col_cv_.notify_one();
-    column_thread_.join();
-  }
-  // The stream is drained: flush whatever columnar backlog the merge worker
-  // and the publish threshold were still batching, so a caught-up backup
-  // serves every table from chunks.
-  if (column_store_ != nullptr && !HasError()) {
-    column_store_->Publish(GlobalVisibleTs(), /*force=*/true);
-  }
   StopWorkers();
   started_.store(false, std::memory_order_release);
 }
@@ -145,12 +113,7 @@ void ReplayerBase::SetError(Status status) {
   error_flag_.store(true, std::memory_order_release);
 }
 
-void ReplayerBase::ApplyNext(ShippedEpoch epoch, bool retransmitted) {
-  ++expected_epoch_;
-  if (retransmitted) {
-    stats_.epochs_retried.fetch_add(1, std::memory_order_relaxed);
-    epochs_retried_metric_->Add(1);
-  }
+void ReplayerBase::ApplyNext(ShippedEpoch epoch) {
   if (stats_.wall_start_us.load() == 0) {
     stats_.wall_start_us.store(MonotonicMicros());
   }
@@ -181,9 +144,7 @@ void ReplayerBase::CommitItem(PipelineItem item) {
     const ShippedEpoch& epoch = item.epoch;
     const bool heartbeat = epoch.is_heartbeat();
     if (!heartbeat) CommitEpoch(epoch, std::move(item.prepared));
-    // A failed epoch publishes nothing and posts nothing to the column
-    // merge: its dirty keys stay pending and queries resolve them through
-    // the residual path.
+    // A failed epoch publishes nothing and announces nothing.
     if (!HasError()) {
       // A heartbeat rides the queue behind every data epoch shipped before
       // it, so all data older than its timestamp is installed. A clean data
@@ -194,12 +155,7 @@ void ReplayerBase::CommitItem(PipelineItem item) {
           heartbeat ? epoch.heartbeat_ts : epoch.max_commit_ts;
       AdvanceGlobalTs(ts);
       global_ts_metric_->Set(static_cast<int64_t>(GlobalVisibleTs()));
-      // The column-merge worker reads fully installed version chains at
-      // `ts`. A heartbeat means the stream is idle, so it also drains any
-      // backlog the publish-amortization threshold held back.
-      if (column_store_ != nullptr) {
-        RequestColumnPublish(ts, /*force=*/heartbeat);
-      }
+      OnPublished(ts, heartbeat);
       if (heartbeat) {
         stats_.heartbeats.fetch_add(1, std::memory_order_relaxed);
         heartbeats_applied_metric_->Add(1);
@@ -219,178 +175,26 @@ void ReplayerBase::CommitItem(PipelineItem item) {
   stats_.wall_end_us.store(MonotonicMicros());
 }
 
-void ReplayerBase::Ingest(ShippedEpoch epoch, PendingMap* pending,
-                          bool retransmitted) {
-  if (!epoch.PayloadIntact()) {
-    // Damaged in flight. The epoch is a loss, not an error: the clean copy
-    // lives in the shipper's retention buffer and the gap machinery will
-    // NACK it back. Without a source there is no way to recover — latch.
-    stats_.corrupt_dropped.fetch_add(1, std::memory_order_relaxed);
-    corrupt_dropped_metric_->Add(1);
-    if (source_ == nullptr) {
-      SetError(Status::Corruption(
-          "epoch " + std::to_string(epoch.epoch_id) +
-          " payload checksum mismatch (no retransmission source)"));
-    }
-    return;
-  }
-  if (epoch.epoch_id < expected_epoch_) {
-    // Already applied — a link-level duplicate or a redundant retransmit.
-    stats_.duplicates_dropped.fetch_add(1, std::memory_order_relaxed);
-    duplicates_dropped_metric_->Add(1);
-    return;
-  }
-  if (epoch.epoch_id > expected_epoch_) {
-    if (source_ == nullptr) {
-      SetError(Status::Corruption(
-          "epoch out of order: expected " + std::to_string(expected_epoch_) +
-          ", got " + std::to_string(epoch.epoch_id) +
-          " (no retransmission source)"));
-      return;
-    }
-    auto [it, inserted] = pending->emplace(epoch.epoch_id, std::move(epoch));
-    if (!inserted) {
-      stats_.duplicates_dropped.fetch_add(1, std::memory_order_relaxed);
-      duplicates_dropped_metric_->Add(1);
-    } else if (pending->size() > recovery_.max_pending) {
-      SetError(Status::Corruption(
-          "reorder buffer overflow: " + std::to_string(pending->size()) +
-          " epochs parked waiting for epoch " +
-          std::to_string(expected_epoch_)));
-    }
-    return;
-  }
-  ApplyNext(std::move(epoch), retransmitted);
-  // The arrival may have been the gap head — drain every parked successor
-  // that is now contiguous.
-  while (!HasError()) {
-    auto it = pending->find(expected_epoch_);
-    if (it == pending->end()) break;
-    ShippedEpoch next = std::move(it->second);
-    pending->erase(it);
-    ApplyNext(std::move(next), false);
-  }
-}
-
-void ReplayerBase::CloseGaps(PendingMap* pending, bool channel_closed) {
-  // Without a source Ingest latches instead of parking, and a swallowed tail
-  // cannot be seen, let alone fetched.
-  if (source_ == nullptr || HasError()) return;
-  const EpochId end = channel_closed ? source_->NextEpochId() : 0;
-  int rounds_without_progress = 0;
-  while (!HasError() &&
-         (channel_closed ? expected_epoch_ < end : !pending->empty())) {
-    const EpochId gap = expected_epoch_;
-    if (!channel_closed || rounds_without_progress > 0) {
-      // Reorder window: the missing epoch may be queued right behind what
-      // we already pulled (or held back by the link), so poll before
-      // NACKing. After close it is only the backoff between NACKs.
-      SpinBackoff backoff;
-      for (int i = 0; i < recovery_.reorder_window_pauses &&
-                      expected_epoch_ == gap && !HasError();
-           ++i) {
-        std::optional<ShippedEpoch> epoch;
-        if (!channel_closed) epoch = channel_->TryReceive();
-        if (epoch) {
-          Ingest(std::move(*epoch), pending, false);
-        } else {
-          backoff.Pause();
-        }
-      }
-      if (expected_epoch_ > gap) {
-        rounds_without_progress = 0;
-        continue;
-      }
-    }
-    // NACK: re-fetch the gap head from the shipper's retention buffer.
-    std::optional<ShippedEpoch> fetched = source_->FetchEpoch(gap);
-    const bool fetch_missed = !fetched.has_value();
-    if (fetched) {
-      Ingest(std::move(*fetched), pending, true);
-      if (expected_epoch_ > gap) {
-        rounds_without_progress = 0;
-        continue;
-      }
-    } else if (gap < source_->FloorEpochId()) {
-      // Not a loss: truncation dropped this id because a checkpoint image
-      // covers it. The distinct code lets the operator bootstrap from the
-      // image instead of treating the backup as corrupt.
-      SetError(Status::BelowCheckpoint(
-          "epoch " + std::to_string(gap) +
-          " is below the durable log's truncation floor " +
-          std::to_string(source_->FloorEpochId()) +
-          "; a checkpoint image covers it — bootstrap from that image"));
-      return;
-    }
-    // A miss is not proof of loss: over a socket source the same nullopt
-    // also covers a timed-out NACK RPC, and latching on the first one would
-    // poison the replayer on a transient stall. Only a spent retry budget
-    // concludes eviction.
-    if (++rounds_without_progress >= recovery_.max_retries) {
-      SetError(Status::Corruption(
-          fetch_missed
-              ? "epoch " + std::to_string(gap) +
-                    " lost in transit and evicted from the shipper's "
-                    "retention buffer (" +
-                    std::to_string(recovery_.max_retries) +
-                    " NACK attempts); re-bootstrap from a checkpoint"
-              : "epoch gap at " + std::to_string(gap) + " persisted after " +
-                    std::to_string(recovery_.max_retries) +
-                    " recovery rounds"));
-      return;
-    }
-  }
-}
-
 void ReplayerBase::MainLoop() {
-  PendingMap pending;
+  const EpochSequencer::ApplyFn apply = [this](ShippedEpoch epoch, bool) {
+    ApplyNext(std::move(epoch));
+    return !HasError();
+  };
+  const EpochSequencer::PollFn poll = [this] { return channel_->TryReceive(); };
+  auto latch = [this](Status s) {
+    if (!s.ok()) SetError(std::move(s));
+  };
   while (auto epoch = channel_->Receive()) {
     // Once the error latch trips, stop applying but keep draining: the
     // channel is bounded, so refusing to receive could block the shipper
     // forever. Nothing received after the failure point is installed and no
     // watermark moves.
     if (HasError()) continue;
-    Ingest(std::move(*epoch), &pending, false);
-    CloseGaps(&pending, /*channel_closed=*/false);
+    latch(sequencer_.Admit(std::move(*epoch), source_, apply));
+    if (!HasError()) latch(sequencer_.CloseGaps(source_, poll, apply));
   }
-  CloseGaps(&pending, /*channel_closed=*/true);
+  if (!HasError()) latch(sequencer_.CloseGaps(source_, nullptr, apply));
   if (pipe_ != nullptr) pipe_->Close();
-}
-
-void ReplayerBase::RequestColumnPublish(Timestamp ts, bool force) {
-  if (ts == kInvalidTimestamp) return;
-  {
-    std::lock_guard<std::mutex> lk(col_mu_);
-    if (col_requested_ == kInvalidTimestamp || ts > col_requested_) {
-      col_requested_ = ts;
-    }
-    col_force_ |= force;
-  }
-  col_cv_.notify_one();
-}
-
-void ReplayerBase::ColumnMergeLoop() {
-  for (;;) {
-    Timestamp ts;
-    bool force;
-    {
-      std::unique_lock<std::mutex> lk(col_mu_);
-      col_cv_.wait(lk, [&] {
-        return col_stop_ || col_requested_ != kInvalidTimestamp;
-      });
-      if (col_requested_ == kInvalidTimestamp) return;  // stopped and drained
-      ts = col_requested_;
-      force = col_force_;
-      col_requested_ = kInvalidTimestamp;
-      col_force_ = false;
-    }
-    // Reading at `ts` is stable against concurrent commits (MVCC reads at a
-    // fixed timestamp) and the poster's mutex hand-off ordered every version
-    // <= ts before this call. When several requests queued up while a
-    // rebuild ran, the coalesced `ts` is the latest — one rebuild covers
-    // them all.
-    column_store_->Publish(ts, force);
-  }
 }
 
 }  // namespace aets

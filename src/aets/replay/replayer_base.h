@@ -2,9 +2,7 @@
 #define AETS_REPLAY_REPLAYER_BASE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -14,75 +12,43 @@
 #include "aets/common/queue.h"
 #include "aets/log/shipped_epoch.h"
 #include "aets/obs/metrics.h"
+#include "aets/replay/epoch_sequencer.h"
 #include "aets/replay/replayer.h"
 #include "aets/replication/channel.h"
 #include "aets/replication/epoch_source.h"
-#include "aets/storage/column_store.h"
 #include "aets/storage/table_store.h"
 
 namespace aets {
 
-/// Tuning knobs of the epoch-loss recovery protocol (see MainLoop below and
-/// DESIGN.md "Failure model & recovery").
-struct ReplayRecoveryOptions {
-  /// SpinBackoff pauses spent polling the channel before concluding a gap is
-  /// a loss rather than a reordering still in flight.
-  int reorder_window_pauses = 2000;
-  /// Recovery rounds (reorder wait + NACK) per gap without progress before
-  /// the sticky error latch trips. Also bounds consecutive NACK fetch
-  /// misses: a nullopt from the source can be a transient I/O timeout on a
-  /// socket-backed NACK RPC, not proof of eviction, so a gap only latches
-  /// after this many missed attempts with backoff in between.
-  int max_retries = 8;
-  /// Bound on buffered out-of-order epochs; exceeding it means the stream is
-  /// unrecoverable (or the peer is misbehaving) and latches an error.
-  size_t max_pending = 1024;
-};
-
-/// The scaffolding every replayer shares. Owns:
+/// The scaffolding every replayer shares: the epoch loop and nothing else.
 ///
-///  - the epoch-ordered main loop: payload-CRC verification on receive,
-///    epoch-id sequencing, wall-clock stats, and the per-epoch volume
-///    counters and metrics;
-///  - the global watermark (global_cmt_ts): raised on every heartbeat and
-///    after every clean data epoch to the epoch header's max_commit_ts, with
-///    the `replay.global_visible_ts` gauge. Subclasses that publish
-///    transaction by transaction (ATR, C5, Serial) raise it through
-///    AdvanceGlobalTs; by default every table publishes this one watermark;
-///  - the cross-epoch pipeline (DESIGN.md §9): each in-order epoch is split
-///    into a prepare phase (PrepareEpoch — dispatch/decode/translate launch,
-///    runs on the main loop thread) and a commit phase (CommitEpoch — version
-///    install + watermark publication). With pipeline_depth > 1 a dedicated
-///    commit thread pops a BlockingQueue of prepared epochs, so
-///    receive/CRC/dispatch/translation of epoch N+1 overlaps the commit of
-///    epoch N. The queue holds depth - 1 epochs and the commit thread one
-///    more; when both are full the main loop blocks in ApplyNext (counted in
-///    ReplayStats::pipeline_stalls / pipeline.stalls). Heartbeats ride the
-///    same FIFO queue, so every watermark publication stays epoch-ordered;
-///  - the loss-recovery protocol. The channel may drop, duplicate, reorder,
-///    or corrupt epochs; the loop skips already-applied ids (duplicates),
-///    buffers early arrivals, and closes gaps in one routine (CloseGaps):
-///    a bounded reorder wait on the live channel, then NACK fetches of the
-///    missing id from the attached EpochSource (the shipper's retention
-///    buffer). After the channel closes the same routine pulls any tail the
-///    link swallowed, so a finished replayer is either byte-equal to the
-///    primary or has a latched error — never silently short. Without an
-///    EpochSource any anomaly is terminal;
-///  - the sticky error latch, with a lock-free HasError() fast check the
-///    hot loops poll — once it trips, the main loop stops applying and
-///    drains the channel without installing anything (the channel is
-///    bounded, so halting receives outright could deadlock the producer).
-///    Epochs already in the pipeline drain through the commit thread without
-///    committing or publishing, and their prepared state unwinds cleanly
-///    (subclasses quiesce in-flight translation in their PreparedEpoch
-///    destructor);
-///  - race-safe Start()/Stop(): lifecycle transitions are serialized by a
-///    mutex, Stop() is idempotent, and a failed StartWorkers() leaves the
-///    replayer cleanly un-started.
+///  - Main loop: receive, let the EpochSequencer (the loss-recovery
+///    protocol) release epochs in order, apply them, and keep the wall-clock
+///    stats and per-epoch volume counters and metrics.
+///  - Cross-epoch pipeline (DESIGN.md §9): each in-order epoch is split into
+///    a prepare phase (PrepareEpoch — dispatch/decode/translate launch, on
+///    the main loop thread) and a commit phase (CommitEpoch — version
+///    install + watermark publication). With pipeline_depth > 1 a commit
+///    thread pops a BlockingQueue of prepared epochs, so epoch N+1's
+///    receive/CRC/dispatch/translation overlaps epoch N's commit. The queue
+///    holds depth - 1 epochs and the commit thread one more; when both are
+///    full the main loop blocks in ApplyNext (ReplayStats::pipeline_stalls).
+///    Heartbeats ride the same FIFO queue, so every watermark publication
+///    stays epoch-ordered.
+///  - Global watermark (global_cmt_ts): raised on every heartbeat and after
+///    every clean data epoch to the epoch header's max_commit_ts, then
+///    announced to OnPublished. ATR, C5 and Serial publish transaction by
+///    transaction through AdvanceGlobalTs.
+///  - Sticky error latch, with a lock-free HasError() for the hot loops.
+///    Once it trips the main loop stops applying but keeps draining the
+///    channel (it is bounded, so refusing receives could deadlock the
+///    producer); epochs already in the pipeline drain without committing or
+///    publishing, and their prepared state unwinds in its destructor.
+///  - Race-safe Start()/Stop(): serialized by a mutex, Stop() idempotent, a
+///    failed StartWorkers() leaves the replayer cleanly un-started.
 ///
-/// Checkpoint cadence is not the replayer's business: the driver that owns
-/// the durable tier decides when to quiesce and image a backup (e.g. on the
-/// shipper's disk-budget CheckpointTrigger).
+/// Checkpoint cadence belongs to the driver that owns the durable tier; the
+/// columnar merge belongs to AETS's column store, fed through OnPublished.
 ///
 /// Subclasses implement PrepareEpoch/CommitEpoch, and optionally
 /// StartWorkers/StopWorkers for their thread pools. Their destructors must
@@ -125,23 +91,6 @@ class ReplayerBase : public Replayer {
   const ReplayStats& stats() const override { return stats_; }
   std::string name() const override { return name_; }
 
-  /// Attaches a columnar projection store (DESIGN.md §13) over this
-  /// replayer's TableStore. After each committed data epoch the base posts
-  /// the epoch's watermark to a background merge thread, which coalesces
-  /// requests and publishes generations off the replay critical path; the
-  /// subclass's commit path must feed it via column_store()->NoteDirty
-  /// before each watermark store, else published chunks go stale silently.
-  /// Before Start() only.
-  void EnableColumnStore(storage::ColumnStoreOptions options);
-
-  /// The attached column store, or nullptr. Non-const flavor for the
-  /// subclass commit path (NoteDirty/SeedFromRows).
-  storage::ColumnStore* column_store() { return column_store_.get(); }
-  const storage::ColumnStore* ColumnStoreForTable(
-      TableId /*table*/) const override {
-    return column_store_.get();
-  }
-
   /// Sticky error (unrecoverable loss, corrupted record, pending-buffer
   /// overflow). OK while healthy or fully recovered.
   Status error() const;
@@ -150,9 +99,7 @@ class ReplayerBase : public Replayer {
   /// been admitted into the replay pipeline (prepared, though with
   /// pipeline_depth > 1 not necessarily committed yet; poll stats().epochs
   /// for commit progress). Safe to poll from other threads.
-  EpochId next_expected_epoch() const {
-    return expected_epoch_.load(std::memory_order_acquire);
-  }
+  EpochId next_expected_epoch() const { return sequencer_.expected(); }
 
  protected:
   /// Opaque per-epoch state carried from PrepareEpoch to CommitEpoch.
@@ -186,6 +133,12 @@ class ReplayerBase : public Replayer {
   virtual void CommitEpoch(const ShippedEpoch& epoch,
                            std::unique_ptr<PreparedEpoch> prepared) = 0;
 
+  /// Post-commit observer, called on the commit context after each
+  /// watermark publication with what was published (the heartbeat ts or the
+  /// data epoch's max_commit_ts): every version at or below `ts` is
+  /// installed. Never called for a failed epoch or after the latch trips.
+  virtual void OnPublished(Timestamp /*ts*/, bool /*heartbeat*/) {}
+
   /// Raises the global watermark to `ts` (max-guarded, so a sharded
   /// sub-epoch's header max that already ran ahead is never undone).
   void AdvanceGlobalTs(Timestamp ts) { StoreMaxTimestamp(global_ts_, ts); }
@@ -203,15 +156,11 @@ class ReplayerBase : public Replayer {
   EpochChannel* channel_;
   TableStore store_;
   ReplayStats stats_;
-  /// The next epoch id expected from the channel. Only the main loop writes
-  /// it while running; Bootstrap arms it before Start(). Atomic so external
-  /// observers (next_expected_epoch) can poll replay progress.
-  std::atomic<EpochId> expected_epoch_{0};
+  /// Driven only by the main loop while running; Bootstrap arms its cursor
+  /// before Start().
+  EpochSequencer sequencer_;
 
  private:
-  /// Early arrivals parked while a gap is open, keyed by epoch id.
-  using PendingMap = std::map<EpochId, ShippedEpoch>;
-
   /// One in-order unit of the prepare→commit hand-off. Heartbeats flow
   /// through the same queue (prepared == nullptr) so their publication
   /// cannot overtake a data epoch still committing.
@@ -221,39 +170,21 @@ class ReplayerBase : public Replayer {
   };
 
   void MainLoop();
-  /// Classifies one received epoch: corrupt payloads are dropped (a loss the
-  /// NACK path repairs), stale ids are counted as duplicates, early ids are
-  /// parked in `pending`, and the expected id is applied — followed by every
-  /// now-contiguous parked successor.
-  void Ingest(ShippedEpoch epoch, PendingMap* pending, bool retransmitted);
-  /// Prepares the epoch at expected_epoch_, advances the sequence, and hands
-  /// the prepared item to the commit context — inline at depth 1, otherwise
-  /// via the bounded pipeline queue (blocking when depth epochs are already
-  /// in flight).
-  void ApplyNext(ShippedEpoch epoch, bool retransmitted);
+  /// Prepares one in-order epoch (the sequencer already advanced its
+  /// cursor) and hands it to the commit context — inline at depth 1,
+  /// otherwise via the bounded pipeline queue (blocking when depth epochs
+  /// are already in flight).
+  void ApplyNext(ShippedEpoch epoch);
   /// Commits (or, post-latch, drains) one pipeline item and maintains the
   /// per-epoch stats/metrics. Runs on the commit context.
   void CommitItem(PipelineItem item);
-  /// Closes the gap at expected_epoch_ through the EpochSource. While the
-  /// channel is live a gap is open while early epochs are parked: each round
-  /// polls the channel for a bounded reorder window, then NACKs. Once
-  /// `channel_closed`, every id below the source's NextEpochId() was handed
-  /// to the link, so the gap runs to there and each round just NACKs, with
-  /// the window as backoff between misses. Latches after max_retries rounds
-  /// without progress, or at once below the source's truncation floor.
-  void CloseGaps(PendingMap* pending, bool channel_closed);
 
   std::string name_;
 
-  /// Columnar projections maintained at epoch-commit granularity; nullptr
-  /// unless EnableColumnStore was called. Published only by the single
-  /// commit context, read by any query thread.
-  std::unique_ptr<storage::ColumnStore> column_store_;
   /// global_cmt_ts, raised only through AdvanceGlobalTs.
   std::atomic<Timestamp> global_ts_{kInvalidTimestamp};
 
   EpochSource* source_ = nullptr;
-  ReplayRecoveryOptions recovery_;
   int pipeline_depth_ = 1;
   std::function<void(const ShippedEpoch&)> commit_hook_;
 
@@ -263,9 +194,6 @@ class ReplayerBase : public Replayer {
   obs::Counter* records_applied_metric_;
   obs::Counter* bytes_applied_metric_;
   obs::Counter* heartbeats_applied_metric_;
-  obs::Counter* epochs_retried_metric_;
-  obs::Counter* duplicates_dropped_metric_;
-  obs::Counter* corrupt_dropped_metric_;
   obs::Counter* pipeline_stalls_metric_;
   obs::Gauge* pipeline_depth_metric_;
   obs::Gauge* pipeline_occupancy_metric_;
@@ -280,22 +208,6 @@ class ReplayerBase : public Replayer {
   std::thread commit_thread_;
   std::mutex lifecycle_mu_;
   std::atomic<bool> started_{false};
-
-  /// Background column-merge worker (column_store_ set only): the commit
-  /// context posts the newest applied watermark via RequestColumnPublish and
-  /// moves on; this thread coalesces the requests — when replay outruns it,
-  /// intermediate watermarks collapse into one rebuild at the latest — and
-  /// runs ColumnStore::Publish off the replay critical path. Queries stay
-  /// exact in the gap through the residual top-up. Stop() drains the worker,
-  /// then force-flushes, so a stopped backup is always fully chunked.
-  void ColumnMergeLoop();
-  void RequestColumnPublish(Timestamp ts, bool force);
-  std::thread column_thread_;
-  std::mutex col_mu_;
-  std::condition_variable col_cv_;
-  Timestamp col_requested_ = kInvalidTimestamp;
-  bool col_force_ = false;
-  bool col_stop_ = false;
 
   mutable std::mutex error_mu_;
   Status error_;

@@ -112,7 +112,6 @@ struct ColumnChunk {
   BitVec tombstones;
   size_t live = 0;  // rows not tombstoned
 
-  int64_t min_key() const { return data->keys.front(); }
   int64_t max_key() const { return data->keys.back(); }
 };
 

@@ -170,6 +170,54 @@ ColumnStore::ColumnStore(const Catalog* catalog, const TableStore* rows,
   }
 }
 
+ColumnStore::~ColumnStore() { StopMerge(kInvalidTimestamp); }
+
+void ColumnStore::RequestPublish(Timestamp watermark, bool force) {
+  if (watermark == kInvalidTimestamp) return;
+  {
+    std::lock_guard<std::mutex> lk(merge_mu_);
+    merge_ts_ = std::max(merge_ts_, watermark);
+    merge_force_ |= force;
+    if (!merge_thread_.joinable()) {
+      merge_stop_ = false;
+      merge_thread_ = std::thread([this] { MergeLoop(); });
+    }
+  }
+  merge_cv_.notify_one();
+}
+
+void ColumnStore::StopMerge(Timestamp flush_ts) {
+  {
+    std::lock_guard<std::mutex> lk(merge_mu_);
+    merge_stop_ = true;
+  }
+  merge_cv_.notify_one();
+  if (merge_thread_.joinable()) merge_thread_.join();
+  Publish(flush_ts, /*force=*/true);
+}
+
+void ColumnStore::MergeLoop() {
+  for (;;) {
+    Timestamp ts;
+    bool force;
+    {
+      std::unique_lock<std::mutex> lk(merge_mu_);
+      merge_cv_.wait(lk, [&] {
+        return merge_stop_ || merge_ts_ != kInvalidTimestamp;
+      });
+      if (merge_ts_ == kInvalidTimestamp) return;  // stopped and drained
+      ts = merge_ts_;
+      force = merge_force_;
+      merge_ts_ = kInvalidTimestamp;
+      merge_force_ = false;
+    }
+    // Reading at `ts` is stable against concurrent commits (MVCC reads at a
+    // fixed timestamp) and the poster's mutex hand-off ordered every version
+    // <= ts before this call.
+    Publish(ts, force);
+  }
+}
+
 void ColumnStore::NoteDirty(TableId table, int64_t key, Timestamp commit_ts) {
   AETS_CHECK(table < tables_.size());
   TableState& st = *tables_[table];

@@ -1,12 +1,14 @@
 #ifndef AETS_STORAGE_COLUMN_STORE_H_
 #define AETS_STORAGE_COLUMN_STORE_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "aets/catalog/catalog.h"
@@ -60,7 +62,6 @@ class ColumnSnapshot {
   /// Re-resolves every residual key at qts from the row store. Requires the
   /// snapshot to be GC-protected at the time of the call.
   void LoadResidual();
-  bool residual_loaded() const { return residual_loaded_; }
   /// Residual keys visible at qts, with their rows (absent keys dropped).
   const std::map<int64_t, FlatRow>& residual_rows() const {
     return residual_rows_;
@@ -119,12 +120,12 @@ class ColumnSnapshot {
 ///     install, BEFORE publishing the group watermark — so any reader that
 ///     observed a watermark also observes the dirty keys accumulated up to
 ///     it.
-///   - After an epoch's watermarks publish, the replayer's background merge
-///     thread runs Publish(w), turning each table's pending entries with
-///     commit_ts <= w into a new generation (later entries stay pending):
-///     only touched chunks are rewritten (pure deletes just copy the
-///     tombstone overlay), everything else shares the previous generation's
-///     column vectors.
+///   - After an epoch's watermarks publish, the replayer posts w with
+///     RequestPublish and moves on; the store's own merge worker runs
+///     Publish(w), turning each table's pending entries with commit_ts <= w
+///     into a new generation (later entries stay pending): only touched
+///     chunks are rewritten (pure deletes just copy the tombstone overlay),
+///     everything else shares the previous generation's column vectors.
 ///
 /// Query side (any thread): SnapshotAt(table, qts) picks the newest
 /// generation with chunk_ts <= qts and derives the residual key set —
@@ -136,6 +137,9 @@ class ColumnStore {
  public:
   ColumnStore(const Catalog* catalog, const TableStore* rows,
               ColumnStoreOptions options = {});
+
+  /// Stops the merge worker without a final flush.
+  ~ColumnStore();
 
   ColumnStore(const ColumnStore&) = delete;
   ColumnStore& operator=(const ColumnStore&) = delete;
@@ -153,14 +157,26 @@ class ColumnStore {
   /// Publishes one generation per table from the pending entries with
   /// commit_ts <= watermark, reading the merged rows from the row store at
   /// `watermark`; later entries stay pending (the residual path covers
-  /// them). Single publisher at a time — the replayer runs it on a
-  /// background merge thread, posting a watermark only after that epoch's
-  /// watermarks published, so every consumed key's versions up to
-  /// `watermark` are fully installed. With publish_min_dirty set, tables
+  /// them). Single publisher at a time: either the merge worker below or a
+  /// direct caller, never both. Every consumed key's versions up to
+  /// `watermark` must be fully installed. With publish_min_dirty set, tables
   /// below the backlog threshold are skipped (their pending keys keep
   /// accumulating) unless `force` — used on heartbeats and at shutdown to
   /// drain the backlog.
   void Publish(Timestamp watermark, bool force = false);
+
+  /// Posts `watermark` to the background merge worker (started by the first
+  /// request) and returns at once, keeping rebuilds off the poster's
+  /// critical path; queries stay exact meanwhile through the residual
+  /// top-up. When posts outrun the worker the newest watermark wins (one
+  /// rebuild covers them all), and a force stays set until consumed. One
+  /// poster, posting only watermarks whose versions are installed and noted.
+  void RequestPublish(Timestamp watermark, bool force);
+
+  /// Drains and joins the merge worker, then runs a final forced
+  /// Publish(flush_ts) so a stopped backup is fully chunked (skipped for
+  /// kInvalidTimestamp). A later RequestPublish restarts the worker.
+  void StopMerge(Timestamp flush_ts);
 
   /// Bootstrap seeding: builds generation 0 of every table from the rows
   /// visible at `snapshot_ts` (a checkpoint restore's snapshot timestamp).
@@ -188,11 +204,20 @@ class ColumnStore {
   std::shared_ptr<const TableGeneration> RebuildTable(
       TableId table, const TableGeneration* prev,
       std::vector<int64_t> dirty, Timestamp watermark);
+  void MergeLoop();
 
   const Catalog* catalog_;
   const TableStore* rows_;
   ColumnStoreOptions options_;
   std::vector<std::unique_ptr<TableState>> tables_;
+
+  /// Merge worker state: the coalesced request, guarded by merge_mu_.
+  std::mutex merge_mu_;
+  std::condition_variable merge_cv_;
+  Timestamp merge_ts_ = kInvalidTimestamp;
+  bool merge_force_ = false;
+  bool merge_stop_ = false;
+  std::thread merge_thread_;
 };
 
 }  // namespace storage

@@ -10,10 +10,6 @@ MemNode* Memtable::GetOrCreateNode(int64_t row_key) {
   return index_.GetOrCreate(row_key, &created, row_key);
 }
 
-MemNode* Memtable::FindNode(int64_t row_key) const {
-  return index_.Find(row_key);
-}
-
 void Memtable::ApplyCommitted(const LogRecord& record, Timestamp commit_ts) {
   AETS_CHECK(record.is_dml());
   MemNode* node = GetOrCreateNode(record.row_key);

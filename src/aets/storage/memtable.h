@@ -30,9 +30,6 @@ class Memtable {
   /// installed yet.
   MemNode* GetOrCreateNode(int64_t row_key);
 
-  /// Looks up the node for `row_key`, or nullptr.
-  MemNode* FindNode(int64_t row_key) const;
-
   /// Installs the version carried by a committed DML record. Used by the
   /// primary engine, the serial oracle, and direct-install replayers (ATR,
   /// C5); TPLR-style replayers append the translated cells themselves.

@@ -52,9 +52,6 @@ class PackedDelta {
   }
   bool empty() const { return data_ == nullptr; }
 
-  /// Total packed bytes (count header included); 0 when empty.
-  size_t byte_size() const { return size_; }
-
   /// Iterates the entries; views into this block, valid while it lives.
   DeltaReader Read() const {
     if (data_ == nullptr) return DeltaReader(std::string_view(), 0);

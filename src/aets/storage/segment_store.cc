@@ -23,9 +23,8 @@ constexpr char kManifestMagic[8] = {'A', 'E', 'T', 'S', 'S', 'E', 'G', 'M'};
 constexpr uint32_t kManifestVersion = 1;
 constexpr char kManifestName[] = "MANIFEST";
 
-// Frame body: epoch_id, heartbeat_ts, max_commit_ts, num_txns, num_records,
-// first_txn, last_txn (u64 each), payload_crc, payload_len (u32 each).
-constexpr size_t kBodyFixedBytes = 7 * sizeof(uint64_t) + 2 * sizeof(uint32_t);
+// Frame: crc32c(body), body length (u32 each), then the body — the
+// ShippedEpoch layout of EncodeEpochBody (log/shipped_epoch.h).
 constexpr size_t kFrameHeaderBytes = 2 * sizeof(uint32_t);  // crc, len
 // Sanity bound on a declared body length: a corrupted length field must not
 // drive a multi-gigabyte allocation before the CRC gets a chance to veto it.
@@ -68,59 +67,18 @@ void FsyncDir(const std::string& dir) {
 }
 
 std::string EncodeFrame(const ShippedEpoch& epoch) {
-  const size_t payload_len = epoch.ByteSize();
-  std::string body;
-  body.reserve(kBodyFixedBytes + payload_len);
-  PutRaw<uint64_t>(&body, epoch.epoch_id);
-  PutRaw<uint64_t>(&body, static_cast<uint64_t>(epoch.heartbeat_ts));
-  PutRaw<uint64_t>(&body, static_cast<uint64_t>(epoch.max_commit_ts));
-  PutRaw<uint64_t>(&body, epoch.num_txns);
-  PutRaw<uint64_t>(&body, epoch.num_records);
-  PutRaw<uint64_t>(&body, static_cast<uint64_t>(epoch.first_txn));
-  PutRaw<uint64_t>(&body, static_cast<uint64_t>(epoch.last_txn));
-  PutRaw<uint32_t>(&body, epoch.payload_crc);
-  PutRaw<uint32_t>(&body, static_cast<uint32_t>(payload_len));
-  if (payload_len > 0) body.append(*epoch.payload);
-
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + body.size());
-  PutRaw<uint32_t>(&frame, Crc32c(body.data(), body.size()));
-  PutRaw<uint32_t>(&frame, static_cast<uint32_t>(body.size()));
-  frame.append(body);
+  std::string frame(kFrameHeaderBytes, '\0');
+  EncodeEpochBody(epoch, &frame);
+  const uint32_t len = static_cast<uint32_t>(frame.size() - kFrameHeaderBytes);
+  const uint32_t crc = Crc32c(frame.data() + kFrameHeaderBytes, len);
+  std::memcpy(frame.data(), &crc, sizeof(crc));
+  std::memcpy(frame.data() + sizeof(crc), &len, sizeof(len));
   return frame;
-}
-
-// Decodes a verified frame body back into a ShippedEpoch. The caller has
-// already checked the frame CRC and that `body` spans the declared length.
-ShippedEpoch DecodeBody(const char* body, size_t len) {
-  ShippedEpoch out;
-  const char* p = body;
-  out.epoch_id = GetRaw<uint64_t>(p);
-  p += 8;
-  out.heartbeat_ts = static_cast<Timestamp>(GetRaw<uint64_t>(p));
-  p += 8;
-  out.max_commit_ts = static_cast<Timestamp>(GetRaw<uint64_t>(p));
-  p += 8;
-  out.num_txns = GetRaw<uint64_t>(p);
-  p += 8;
-  out.num_records = GetRaw<uint64_t>(p);
-  p += 8;
-  out.first_txn = static_cast<TxnId>(GetRaw<uint64_t>(p));
-  p += 8;
-  out.last_txn = static_cast<TxnId>(GetRaw<uint64_t>(p));
-  p += 8;
-  out.payload_crc = GetRaw<uint32_t>(p);
-  p += 4;
-  const uint32_t payload_len = GetRaw<uint32_t>(p);
-  p += 4;
-  AETS_CHECK(kBodyFixedBytes + payload_len == len);
-  out.payload = std::make_shared<const std::string>(p, payload_len);
-  return out;
 }
 
 // A declared body length the frame machinery will even consider.
 bool PlausibleLen(uint64_t len) {
-  return len >= kBodyFixedBytes && len <= kMaxBodyBytes;
+  return len >= kEpochBodyFixedBytes && len <= kMaxBodyBytes;
 }
 
 // Parses "seg-<16hex>.log" back to the segment's first epoch id.
@@ -537,10 +495,11 @@ std::optional<ShippedEpoch> SegmentStore::Read(EpochId id) {
     // epoch for the caller, which escalates to re-bootstrap.
     return std::nullopt;
   }
-  ShippedEpoch epoch = DecodeBody(buf.data() + kFrameHeaderBytes, len);
-  if (epoch.epoch_id != id) return std::nullopt;
+  Result<ShippedEpoch> epoch = DecodeEpochBody(
+      std::string_view(buf).substr(kFrameHeaderBytes));
+  if (!epoch.ok() || epoch->epoch_id != id) return std::nullopt;
   fetches_metric_->Add(1);
-  return epoch;
+  return std::move(*epoch);
 }
 
 Status SegmentStore::Sync() {

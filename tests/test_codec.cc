@@ -1,15 +1,23 @@
 // Log record model and wire-codec tests: round-trips, metadata-only
 // decoding, and corruption/truncation detection (checksums), plus a
-// parameterized round-trip fuzz over random records.
+// parameterized round-trip fuzz over random records, and the pinned byte
+// layout of a ShippedEpoch on disk and on the wire.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "aets/common/rng.h"
 #include "aets/log/codec.h"
+#include "aets/log/epoch.h"
 #include "aets/log/record.h"
+#include "aets/log/shipped_epoch.h"
+#include "aets/storage/segment_store.h"
 
 namespace aets {
 namespace {
@@ -205,6 +213,92 @@ TEST_P(CodecFuzzTest, RandomRecordsRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzzTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+std::string Hex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xF]);
+  }
+  return out;
+}
+
+TEST(ShippedEpochLayoutTest, SegmentFrameBytesArePinned) {
+  // One fixed data epoch as the durable segment store frames it:
+  // [crc32c(body)][body_len][body], the body being the ShippedEpoch layout
+  // the wire uses too. The bytes were recorded from the segment file before
+  // the disk and wire encoders were merged; any drift breaks every segment
+  // log already on disk.
+  const std::string kPinned =
+      "acaaea5cd5000000"  // crc32c, body_len (213)
+      "0500000000000000"  // epoch_id
+      "0000000000000000"  // heartbeat_ts
+      "4d00000000000000"  // max_commit_ts
+      "0100000000000000"  // num_txns
+      "0300000000000000"  // num_records
+      "f501000000000000"  // first_txn
+      "f501000000000000"  // last_txn
+      "1a195fc095000000"  // payload_crc, payload_len (149)
+      "7d8fa11719000000000100000000000000f5010000000000004d00000000000000d0"
+      "e234894b000000020200000000000000f5010000000000004d000000000000000300"
+      "0000f7ffffffffffffff0000000000000000000000000000000002000000012a0000"
+      "00000000000100030200000061620db7e64819000000010300000000000000f50100"
+      "00000000004d00000000000000";
+  Epoch epoch;
+  epoch.epoch_id = 5;
+  TxnLog txn;
+  txn.txn_id = 501;
+  txn.commit_ts = 77;
+  txn.records = {LogRecord::Begin(1, 501, 77),
+                 LogRecord::Dml(LogRecordType::kInsert, 2, 501, 77, 3, -9,
+                                {{0, Value(int64_t{42})}, {1, Value("ab")}}),
+                 LogRecord::Commit(3, 501, 77)};
+  epoch.txns.push_back(txn);
+  const ShippedEpoch shipped = EncodeEpoch(epoch);
+
+  const std::string dir =
+      std::string(::testing::TempDir()) + "/pinned_segment_frame";
+  std::filesystem::remove_all(dir);
+  {
+    SegmentStoreOptions options;
+    options.dir = dir;
+    auto store = SegmentStore::Open(options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->Append(shipped).ok());
+  }
+  std::ifstream in(dir + "/seg-0000000000000005.log", std::ios::binary);
+  const std::string file((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(Hex(file), kPinned);
+
+  // The wire body is the same bytes, and decodes back to the epoch.
+  std::string body;
+  EncodeEpochBody(shipped, &body);
+  EXPECT_EQ(Hex(body), kPinned.substr(16));
+  Result<ShippedEpoch> decoded = DecodeEpochBody(body);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->epoch_id, 5u);
+  EXPECT_EQ(decoded->max_commit_ts, 77u);
+  EXPECT_EQ(decoded->first_txn, 501u);
+  EXPECT_EQ(*decoded->payload, *shipped.payload);
+  EXPECT_TRUE(decoded->PayloadIntact());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShippedEpochLayoutTest, DecodeRejectsEveryLengthMismatch) {
+  std::string body;
+  EncodeEpochBody(MakeHeartbeatEpoch(3, 40), &body);
+  ASSERT_TRUE(DecodeEpochBody(body).ok());
+  for (size_t cut = 0; cut < body.size(); ++cut) {
+    EXPECT_TRUE(DecodeEpochBody(std::string_view(body).substr(0, cut))
+                    .status()
+                    .IsCorruption())
+        << "cut at " << cut;
+  }
+  body.push_back('x');  // a trailing byte the declared payload_len disowns
+  EXPECT_TRUE(DecodeEpochBody(body).status().IsCorruption());
+}
 
 }  // namespace
 }  // namespace aets

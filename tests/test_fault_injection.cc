@@ -196,7 +196,11 @@ TEST(ShipperTest, StartHeartbeatsIsIdempotent) {
   shipper.StartHeartbeats(source, /*interval_us=*/200);
   // Used to overwrite heartbeat_thread_ without joining -> std::terminate.
   shipper.StartHeartbeats(source, /*interval_us=*/200);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // Give the heartbeat thread until it has shipped once (a fixed 5 ms nap
+  // lost that race on a loaded host), bounded at 10 s.
+  for (int i = 0; i < 10'000 && shipper.heartbeats_shipped() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   shipper.Finish();
   EXPECT_GE(shipper.heartbeats_shipped(), 1u);
 }

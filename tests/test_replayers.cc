@@ -10,7 +10,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <mutex>
 #include <set>
 #include <string>
@@ -23,6 +25,8 @@
 #include "aets/baselines/tplr_replayer.h"
 #include "aets/obs/metrics.h"
 #include "aets/replay/aets_replayer.h"
+#include "aets/replay/epoch_sequencer.h"
+#include "aets/storage/column_store.h"
 #include "aets/replication/log_shipper.h"
 #include "aets/storage/gc_daemon.h"
 #include "aets/workload/driver.h"
@@ -467,6 +471,269 @@ TEST(RecoveryTest, TransientNackTimeoutInFinalDrainDoesNotPoisonReplayer) {
   Timestamp final_ts = scenario.pipeline->db.last_commit_ts();
   EXPECT_EQ(replayer.store()->DigestAt(final_ts),
             scenario.pipeline->db.store().DigestAt(final_ts));
+}
+
+// ---- EpochSequencer, driven directly: no threads, no channels -----------
+
+// An in-memory retention buffer with a scripted truncation floor; counts
+// NACK fetches.
+class FakeSource : public EpochSource {
+ public:
+  std::optional<ShippedEpoch> FetchEpoch(EpochId id) override {
+    ++fetches;
+    auto it = retained.find(id);
+    if (it == retained.end()) return std::nullopt;
+    return it->second;
+  }
+  EpochId NextEpochId() const override { return next; }
+  EpochId FloorEpochId() const override { return floor; }
+
+  std::map<EpochId, ShippedEpoch> retained;
+  EpochId next = 0;
+  EpochId floor = 0;
+  int fetches = 0;
+};
+
+ShippedEpoch Beat(EpochId id) { return MakeHeartbeatEpoch(id, 100 + id); }
+
+ShippedEpoch CorruptBeat(EpochId id) {
+  ShippedEpoch epoch = Beat(id);
+  epoch.payload_crc ^= 1;
+  return epoch;
+}
+
+// Records what the sequencer applies; refuses epochs once `refuse` is set
+// (a replayer whose latch tripped).
+struct SequencerRig {
+  explicit SequencerRig(int max_retries = 3, size_t max_pending = 1024)
+      : seq(&stats) {
+    ReplayRecoveryOptions options;
+    options.reorder_window_pauses = 4;
+    options.max_retries = max_retries;
+    options.max_pending = max_pending;
+    seq.set_options(options);
+  }
+
+  Status Admit(ShippedEpoch epoch, EpochSource* src) {
+    return seq.Admit(std::move(epoch), src, apply);
+  }
+
+  /// A live channel whose poll hands out `script` in order, then nothing.
+  Status CloseGapsLive(EpochSource* src, std::vector<ShippedEpoch> script) {
+    size_t next = 0;
+    return seq.CloseGaps(
+        src,
+        [&]() -> std::optional<ShippedEpoch> {
+          if (next == script.size()) return std::nullopt;
+          return script[next++];
+        },
+        apply);
+  }
+
+  Status CloseGapsClosed(EpochSource* src) {
+    return seq.CloseGaps(src, nullptr, apply);
+  }
+
+  ReplayStats stats;
+  EpochSequencer seq;
+  std::vector<EpochId> applied;
+  std::vector<bool> retransmitted;
+  bool refuse = false;
+  EpochSequencer::ApplyFn apply = [this](ShippedEpoch epoch, bool retx) {
+    applied.push_back(epoch.epoch_id);
+    retransmitted.push_back(retx);
+    return !refuse;
+  };
+};
+
+TEST(EpochSequencerTest, DuplicatesOfAppliedAndParkedIdsAreDropped) {
+  SequencerRig rig;
+  FakeSource source;
+  ASSERT_TRUE(rig.Admit(Beat(0), &source).ok());
+  ASSERT_TRUE(rig.Admit(Beat(0), &source).ok());  // already applied
+  ASSERT_TRUE(rig.Admit(Beat(2), &source).ok());  // parked
+  ASSERT_TRUE(rig.Admit(Beat(2), &source).ok());  // duplicate of the parked
+  EXPECT_EQ(rig.seq.parked(), 1u);
+  EXPECT_EQ(rig.stats.duplicates_dropped.load(), 2u);
+  ASSERT_TRUE(rig.Admit(Beat(1), &source).ok());  // gap head drains 2
+  EXPECT_EQ(rig.applied, (std::vector<EpochId>{0, 1, 2}));
+  EXPECT_EQ(rig.seq.expected(), 3u);
+  EXPECT_EQ(rig.seq.parked(), 0u);
+  EXPECT_EQ(source.fetches, 0);
+}
+
+TEST(EpochSequencerTest, ReorderWithinTheWindowNeedsNoNack) {
+  SequencerRig rig;
+  FakeSource source;
+  source.retained[0] = Beat(0);
+  ASSERT_TRUE(rig.Admit(Beat(2), &source).ok());
+  ASSERT_TRUE(rig.Admit(Beat(1), &source).ok());
+  ASSERT_TRUE(rig.CloseGapsLive(&source, {Beat(0)}).ok());
+  EXPECT_EQ(rig.applied, (std::vector<EpochId>{0, 1, 2}));
+  EXPECT_EQ(source.fetches, 0);
+  EXPECT_EQ(rig.stats.epochs_retried.load(), 0u);
+}
+
+TEST(EpochSequencerTest, NackRecoversALostEpoch) {
+  SequencerRig rig;
+  FakeSource source;
+  source.retained[0] = Beat(0);
+  ASSERT_TRUE(rig.Admit(Beat(1), &source).ok());
+  ASSERT_TRUE(rig.CloseGapsLive(&source, {}).ok());
+  EXPECT_EQ(rig.applied, (std::vector<EpochId>{0, 1}));
+  EXPECT_EQ(rig.retransmitted, (std::vector<bool>{true, false}));
+  EXPECT_EQ(source.fetches, 1);
+  EXPECT_EQ(rig.stats.epochs_retried.load(), 1u);
+
+  // After close the same routine pulls the tail the link swallowed.
+  source.retained[2] = Beat(2);
+  source.next = 3;
+  ASSERT_TRUE(rig.CloseGapsClosed(&source).ok());
+  EXPECT_EQ(rig.applied, (std::vector<EpochId>{0, 1, 2}));
+  EXPECT_EQ(rig.stats.epochs_retried.load(), 2u);
+}
+
+TEST(EpochSequencerTest, CorruptRetransmitAfterCloseIsARoundWithoutProgress) {
+  SequencerRig rig(/*max_retries=*/3);
+  FakeSource source;
+  source.retained[0] = CorruptBeat(0);
+  source.next = 1;
+  Status s = rig.CloseGapsClosed(&source);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find("epoch gap at 0 persisted after 3 recovery "
+                              "rounds"),
+            std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(source.fetches, 3);
+  EXPECT_EQ(rig.stats.corrupt_dropped.load(), 3u);
+  EXPECT_TRUE(rig.applied.empty());
+  EXPECT_TRUE(rig.seq.halted());
+}
+
+TEST(EpochSequencerTest, MissBelowTheFloorIsBelowCheckpoint) {
+  SequencerRig rig;
+  FakeSource source;
+  source.next = 5;
+  source.floor = 3;
+  Status s = rig.CloseGapsClosed(&source);
+  EXPECT_TRUE(s.IsBelowCheckpoint()) << s.ToString();
+  EXPECT_NE(s.ToString().find("below the durable log's truncation floor 3"),
+            std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(source.fetches, 1);
+}
+
+TEST(EpochSequencerTest, EvictionLatchesAfterExactlyMaxRetriesMisses) {
+  SequencerRig rig(/*max_retries=*/4);
+  FakeSource source;
+  source.next = 1;
+  Status s = rig.CloseGapsClosed(&source);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find("epoch 0 lost in transit and evicted from the "
+                              "shipper's retention buffer (4 NACK attempts)"),
+            std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(source.fetches, 4);
+  // Halted: further calls are no-ops.
+  source.retained[0] = Beat(0);
+  EXPECT_TRUE(rig.CloseGapsClosed(&source).ok());
+  EXPECT_EQ(source.fetches, 4);
+  EXPECT_TRUE(rig.applied.empty());
+}
+
+TEST(EpochSequencerTest, CorruptOrEarlyEpochWithoutSourceIsTerminal) {
+  {
+    SequencerRig rig;
+    Status s = rig.Admit(CorruptBeat(0), nullptr);
+    EXPECT_TRUE(s.IsCorruption());
+    EXPECT_NE(s.ToString().find("epoch 0 payload checksum mismatch (no "
+                                "retransmission source)"),
+              std::string::npos)
+        << s.ToString();
+    EXPECT_EQ(rig.stats.corrupt_dropped.load(), 1u);
+    EXPECT_TRUE(rig.Admit(Beat(0), nullptr).ok());  // halted: ignored
+    EXPECT_TRUE(rig.applied.empty());
+  }
+  {
+    SequencerRig rig;
+    Status s = rig.Admit(Beat(2), nullptr);
+    EXPECT_TRUE(s.IsCorruption());
+    EXPECT_NE(s.ToString().find("epoch out of order: expected 0, got 2 (no "
+                                "retransmission source)"),
+              std::string::npos)
+        << s.ToString();
+    EXPECT_EQ(rig.seq.parked(), 0u);
+    EXPECT_TRUE(rig.seq.halted());
+  }
+}
+
+TEST(EpochSequencerTest, ReorderBufferOverflowLatches) {
+  SequencerRig rig(/*max_retries=*/3, /*max_pending=*/2);
+  FakeSource source;
+  ASSERT_TRUE(rig.Admit(Beat(1), &source).ok());
+  ASSERT_TRUE(rig.Admit(Beat(2), &source).ok());
+  Status s = rig.Admit(Beat(3), &source);
+  EXPECT_TRUE(s.IsCorruption());
+  EXPECT_NE(s.ToString().find("reorder buffer overflow: 3 epochs parked "
+                              "waiting for epoch 0"),
+            std::string::npos)
+      << s.ToString();
+  EXPECT_TRUE(rig.seq.halted());
+  EXPECT_TRUE(rig.applied.empty());
+}
+
+TEST(EpochSequencerTest, RefusingSinkHaltsBeforeDrainingParkedEpochs) {
+  SequencerRig rig;
+  FakeSource source;
+  ASSERT_TRUE(rig.Admit(Beat(1), &source).ok());
+  rig.refuse = true;
+  ASSERT_TRUE(rig.Admit(Beat(0), &source).ok());
+  EXPECT_EQ(rig.applied, (std::vector<EpochId>{0}));
+  EXPECT_TRUE(rig.seq.halted());
+  EXPECT_EQ(rig.seq.expected(), 1u);
+}
+
+TEST(ReplayerLifecycleTest, StoppedAetsBackupIsFullyChunked) {
+  // Stop() drains the column merge worker and force-flushes at the final
+  // watermark, so every table serves its snapshot from chunks alone. Only
+  // AETS maintains columnar projections.
+  constexpr int kTables = 3;
+  std::unique_ptr<Catalog> catalog(MakeCatalog(kTables));
+  Pipeline pipeline(catalog.get(), /*epoch_size=*/8);
+  AetsOptions options;
+  options.replay_threads = 2;
+  options.column_chunk_rows = 16;
+  AetsReplayer aets(catalog.get(), pipeline.AddChannel(), options);
+  AtrReplayer atr(catalog.get(), pipeline.AddChannel(), AtrOptions{2});
+  C5Replayer c5(catalog.get(), pipeline.AddChannel(), C5Options{2, 500});
+  SerialReplayer serial(catalog.get(), pipeline.AddChannel());
+  std::vector<ReplayerBase*> all = {&aets, &atr, &c5, &serial};
+  for (ReplayerBase* r : all) ASSERT_TRUE(r->Start().ok());
+  RunRandomWorkload(&pipeline.db, kTables, 300, test::DeriveSeed(91));
+  pipeline.shipper.Finish();
+  for (ReplayerBase* r : all) r->Stop();
+
+  ASSERT_TRUE(aets.error().ok()) << aets.error().ToString();
+  const Timestamp ts = aets.GlobalVisibleTs();
+  ASSERT_EQ(ts, pipeline.db.last_commit_ts());
+  for (TableId t = 0; t < kTables; ++t) {
+    const storage::ColumnStore* columns = aets.ColumnStoreForTable(t);
+    ASSERT_NE(columns, nullptr);
+    storage::ColumnSnapshot snap = columns->SnapshotAt(t, ts);
+    ASSERT_TRUE(snap.valid()) << "table " << t;
+    EXPECT_TRUE(snap.residual_keys().empty())
+        << "table " << t << ": " << snap.residual_keys().size()
+        << " keys still outside the chunks";
+    snap.LoadResidual();
+    EXPECT_EQ(snap.Digest(), aets.store()->GetTable(t)->DigestAt(ts));
+  }
+  for (ReplayerBase* r : {static_cast<ReplayerBase*>(&atr),
+                          static_cast<ReplayerBase*>(&c5),
+                          static_cast<ReplayerBase*>(&serial)}) {
+    for (TableId t = 0; t < kTables; ++t) {
+      EXPECT_EQ(r->ColumnStoreForTable(t), nullptr) << r->name();
+    }
+  }
 }
 
 TEST(ReplayerLifecycleTest, StartValidatesOptions) {
