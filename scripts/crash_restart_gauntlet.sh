@@ -15,8 +15,12 @@ set -uo pipefail
 BIN=${BIN:-build/examples/durable_replay}
 SEEDS=${SEEDS:-"11 23 47"}
 TXNS=${TXNS:-20000}
-WORK=${WORK:-$(mktemp -d /tmp/aets-gauntlet.XXXXXX)}
 CHAOS=${1:-}
+# A caller-supplied WORK is kept; a directory made here is removed on exit.
+if [ -z "${WORK:-}" ]; then
+  WORK=$(mktemp -d /tmp/aets-gauntlet.XXXXXX)
+  trap 'rm -rf "$WORK"' EXIT
+fi
 
 fail() { echo "FAIL: $*" >&2; exit 1; }
 [ -x "$BIN" ] || fail "binary not found: $BIN (set BIN or build durable_replay)"

@@ -22,7 +22,11 @@ BUDGET=${BUDGET:-1200000}
 MIN_TRUNCS=${MIN_TRUNCS:-3}
 SLACK=${SLACK:-262144}          # one segment_max_bytes of overshoot allowance
 RSS_LIMIT_KB=${RSS_LIMIT_KB:-524288}
-WORK=${WORK:-$(mktemp -d /tmp/aets-endurance.XXXXXX)}
+# A caller-supplied WORK is kept; a directory made here is removed on exit.
+if [ -z "${WORK:-}" ]; then
+  WORK=$(mktemp -d /tmp/aets-endurance.XXXXXX)
+  trap 'rm -rf "$WORK"' EXIT
+fi
 
 fail() { echo "FAIL: $*" >&2; exit 1; }
 [ -x "$BIN" ] || fail "binary not found: $BIN (set BIN or build durable_replay)"

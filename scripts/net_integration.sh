@@ -18,13 +18,22 @@ set -uo pipefail
 BIN=${BIN:-build/examples/net_replay}
 SEEDS=${SEEDS:-"11 23"}
 TXNS=${TXNS:-8000}
-WORK=${WORK:-$(mktemp -d /tmp/aets-net.XXXXXX)}
+# A caller-supplied WORK is kept; a directory made here is removed on exit.
+OWN_WORK=""
+if [ -z "${WORK:-}" ]; then
+  WORK=$(mktemp -d /tmp/aets-net.XXXXXX)
+  OWN_WORK=1
+fi
 
 fail() { echo "FAIL: $*" >&2; exit 1; }
 [ -x "$BIN" ] || fail "binary not found: $BIN (set BIN or build net_replay)"
 
 PRIMARY_PID=""
-cleanup() { [ -n "$PRIMARY_PID" ] && kill "$PRIMARY_PID" 2>/dev/null; wait 2>/dev/null; }
+cleanup() {
+  [ -n "$PRIMARY_PID" ] && kill "$PRIMARY_PID" 2>/dev/null
+  wait 2>/dev/null
+  [ -n "$OWN_WORK" ] && rm -rf "$WORK"
+}
 trap cleanup EXIT
 
 # Polls $1 for a "^$2 " line, echoing its second field. Bounded wait: the
@@ -135,4 +144,4 @@ for seed in $SEEDS; do
   stop_primary
 done
 
-echo "PASS: net integration (seeds: $SEEDS, $TXNS txns, work dir $WORK)"
+echo "PASS: net integration (seeds: $SEEDS, $TXNS txns)"

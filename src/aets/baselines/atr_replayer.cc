@@ -54,7 +54,7 @@ std::unique_ptr<ReplayerBase::PreparedEpoch> AtrReplayer::PrepareEpoch(
   return prep;
 }
 
-void AtrReplayer::CommitEpoch(const ShippedEpoch& epoch,
+bool AtrReplayer::CommitEpoch(const ShippedEpoch& epoch,
                               std::unique_ptr<PreparedEpoch> prepared) {
   AETS_TRACE_SPAN("replay.epoch");
   auto* prep = static_cast<PreparedAtr*>(prepared.get());
@@ -72,19 +72,25 @@ void AtrReplayer::CommitEpoch(const ShippedEpoch& epoch,
   // commit order (run inline on the commit context). Spin-then-yield so
   // the workers never pay a wake-up cost. On error a worker may never flip
   // its tasks' done flags, so the latch is the exit — the watermark freezes
-  // at the last fully applied transaction.
+  // at the last fully applied transaction. A task that finished still
+  // commits even if a later epoch latched meanwhile.
+  bool installed = true;
   for (auto& task : prep->tasks) {
     SpinBackoff backoff;
     while (!task.done.load(std::memory_order_acquire)) {
       if (HasError()) break;
       backoff.Pause();
     }
-    if (HasError()) break;
+    if (!task.done.load(std::memory_order_acquire)) {
+      installed = false;
+      break;
+    }
     ScopedTimerNs timer(&stats_.commit_ns);
     AdvanceGlobalTs(task.commit_ts);
     stats_.txns.fetch_add(1, std::memory_order_relaxed);
   }
   pool_->WaitIdle();
+  return installed;
 }
 
 void AtrReplayer::WorkerRun(const std::string& payload,

@@ -87,7 +87,7 @@ std::unique_ptr<ReplayerBase::PreparedEpoch> C5Replayer::PrepareEpoch(
   return prep;
 }
 
-void C5Replayer::CommitEpoch(const ShippedEpoch& /*epoch*/,
+bool C5Replayer::CommitEpoch(const ShippedEpoch& /*epoch*/,
                              std::unique_ptr<PreparedEpoch> prepared) {
   AETS_TRACE_SPAN("replay.epoch");
   auto* prep = static_cast<PreparedC5*>(prepared.get());
@@ -123,8 +123,8 @@ void C5Replayer::CommitEpoch(const ShippedEpoch& /*epoch*/,
   // timestamp to the largest prefix of transactions whose operations have
   // all been applied (the "smallest completed LSN" rule).
   std::atomic<bool> workers_done{false};
-  std::thread watermark_thread([this, prep, &workers_done] {
-    size_t next = 0;
+  size_t next = 0;  // transactions published; read after the join
+  std::thread watermark_thread([this, prep, &workers_done, &next] {
     for (;;) {
       bool done = workers_done.load(std::memory_order_acquire);
       {
@@ -145,6 +145,8 @@ void C5Replayer::CommitEpoch(const ShippedEpoch& /*epoch*/,
   pool_->WaitIdle();
   workers_done.store(true, std::memory_order_release);
   watermark_thread.join();
+  // Short only when a rejected task left operations unapplied.
+  return next == prep->txn_ts.size();
 }
 
 }  // namespace aets

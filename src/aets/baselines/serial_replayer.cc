@@ -30,7 +30,7 @@ std::unique_ptr<ReplayerBase::PreparedEpoch> SerialReplayer::PrepareEpoch(
   return prep;
 }
 
-void SerialReplayer::CommitEpoch(const ShippedEpoch& /*shipped*/,
+bool SerialReplayer::CommitEpoch(const ShippedEpoch& /*shipped*/,
                                  std::unique_ptr<PreparedEpoch> prepared) {
   auto* prep = static_cast<PreparedSerial*>(prepared.get());
   AETS_TRACE_SPAN("replay.epoch");
@@ -43,6 +43,7 @@ void SerialReplayer::CommitEpoch(const ShippedEpoch& /*shipped*/,
     AdvanceGlobalTs(txn.commit_ts);
     stats_.txns.fetch_add(1, std::memory_order_relaxed);
   }
+  return true;
 }
 
 }  // namespace aets

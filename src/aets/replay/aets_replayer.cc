@@ -28,9 +28,7 @@ constexpr size_t kColumnPublishMinDirty = 4096;
 
 }  // namespace
 
-AetsReplayer::PreparedAets::~PreparedAets() { WaitTranslationDrained(); }
-
-void AetsReplayer::PreparedAets::WaitTranslationDrained() {
+AetsReplayer::PreparedAets::~PreparedAets() {
   SpinBackoff backoff;
   while (outstanding_translate.load(std::memory_order_acquire) != 0) {
     backoff.Pause();
@@ -252,7 +250,7 @@ std::unique_ptr<ReplayerBase::PreparedEpoch> AetsReplayer::PrepareEpoch(
   return prep;
 }
 
-void AetsReplayer::CommitEpoch(const ShippedEpoch& epoch,
+bool AetsReplayer::CommitEpoch(const ShippedEpoch& epoch,
                                std::unique_ptr<PreparedEpoch> prepared) {
   AETS_TRACE_SPAN("replay.epoch");
   auto* prep = static_cast<PreparedAets*>(prepared.get());
@@ -266,15 +264,16 @@ void AetsReplayer::CommitEpoch(const ShippedEpoch& epoch,
     ScopedTimerNs timer(&stats_.stage2_wall_ns);
     CommitStage(prep, prep->cold_groups);
   }
-  // Quiesce this epoch's translate tasks before reading the latch: a
-  // poisoned fragment's SetError must not be outrun by the check below.
-  prep->WaitTranslationDrained();
-
-  // A failed epoch must not count as applied; the base then leaves the
-  // global watermark where it was.
-  if (HasError()) return;
+  // The epoch is installed iff every group committed all of its fragments;
+  // a group cut short by a poisoned fragment or by the latch reports
+  // failure, and the base then leaves the global watermark where it was.
+  if (prep->groups_committed.load(std::memory_order_relaxed) !=
+      prep->hot_groups.size() + prep->cold_groups.size()) {
+    return false;
+  }
   stats_.txns.fetch_add(epoch.num_txns, std::memory_order_relaxed);
   epoch_apply_us_metric_->Record(MonotonicMicros() - prep->apply_start_us);
+  return true;
 }
 
 Status AetsReplayer::DispatchEpoch(const ShippedEpoch& epoch,
@@ -385,8 +384,10 @@ void AetsReplayer::CommitStage(PreparedAets* prep,
   // barrier over exactly this epoch's stage.
   for (int gi : member_groups) {
     bool accepted = commit_pool_->Submit([this, prep, gi] {
-      CommitGroup(&prep->gstate[static_cast<size_t>(gi)],
-                  prep->grouping->groups[static_cast<size_t>(gi)]);
+      if (CommitGroup(&prep->gstate[static_cast<size_t>(gi)],
+                      prep->grouping->groups[static_cast<size_t>(gi)])) {
+        prep->groups_committed.fetch_add(1, std::memory_order_relaxed);
+      }
     });
     if (!accepted) {
       SetError(Status::Internal("commit pool rejected a commit task"));
@@ -434,7 +435,7 @@ void AetsReplayer::TranslateGroup(const std::string& payload,
   }
 }
 
-void AetsReplayer::CommitGroup(GroupEpochState* gs, const TableGroup& group) {
+bool AetsReplayer::CommitGroup(GroupEpochState* gs, const TableGroup& group) {
   // TPLR phase 2 (Algorithms 1-2): walk the group's commit order; for each
   // transaction wait until phase 1 finished it, then append its cells to the
   // version lists and publish tg_cmt_ts.
@@ -446,14 +447,16 @@ void AetsReplayer::CommitGroup(GroupEpochState* gs, const TableGroup& group) {
     // the exit.
     SpinBackoff backoff;
     while (!frag->translated.load(std::memory_order_acquire)) {
-      if (HasError()) return;
+      if (HasError()) return false;
       backoff.Pause();
     }
     if (backoff.waited()) commit_spin_waits_metric_->Add(1);
     // A poisoned fragment holds a partial transaction; installing it would
     // corrupt the backup. Freeze this group's watermark at the last fully
     // committed transaction instead.
-    if (frag->poisoned.load(std::memory_order_acquire) || HasError()) return;
+    if (frag->poisoned.load(std::memory_order_acquire) || HasError()) {
+      return false;
+    }
     {
       ScopedTimerNs timer(&stats_.commit_ns);
       for (auto& pc : frag->cells) {
@@ -471,6 +474,7 @@ void AetsReplayer::CommitGroup(GroupEpochState* gs, const TableGroup& group) {
       StoreMaxTimestamp(table_ts_[t], frag->commit_ts + options_.test_tg_publish_skew);
     }
   }
+  return true;
 }
 
 }  // namespace aets

@@ -153,7 +153,7 @@ class AetsReplayer : public ReplayerBase {
   void StopWorkers() override;
   std::unique_ptr<PreparedEpoch> PrepareEpoch(
       const ShippedEpoch& epoch) override;
-  void CommitEpoch(const ShippedEpoch& epoch,
+  bool CommitEpoch(const ShippedEpoch& epoch,
                    std::unique_ptr<PreparedEpoch> prepared) override;
   void OnPublished(Timestamp ts, bool heartbeat) override;
 
@@ -204,9 +204,8 @@ class AetsReplayer : public ReplayerBase {
   /// destructor quiesces this epoch's translate tasks, so a dropped
   /// (post-error-latch) item can never leave a worker touching freed state.
   struct PreparedAets : PreparedEpoch {
-    ~PreparedAets() override;
     /// Spins until every translate task launched for this epoch returned.
-    void WaitTranslationDrained();
+    ~PreparedAets() override;
 
     std::shared_ptr<const GroupingSnapshot> grouping;
     /// Pins the wire bytes the fragments' offsets point into.
@@ -215,6 +214,9 @@ class AetsReplayer : public ReplayerBase {
     std::vector<int> hot_groups;
     std::vector<int> cold_groups;
     std::atomic<int> outstanding_translate{0};
+    /// Groups whose CommitGroup installed every fragment; read after the
+    /// stage barriers.
+    std::atomic<size_t> groups_committed{0};
     int64_t apply_start_us = 0;
   };
 
@@ -232,7 +234,9 @@ class AetsReplayer : public ReplayerBase {
   /// Runs the stage's phase-2 group commits and waits for them to finish.
   void CommitStage(PreparedAets* prep, const std::vector<int>& member_groups);
   void TranslateGroup(const std::string& payload, GroupEpochState* gs);
-  void CommitGroup(GroupEpochState* gs, const TableGroup& group);
+  /// Commits one group's fragments in commit order. Returns false when a
+  /// poisoned fragment or the error latch cut it short.
+  bool CommitGroup(GroupEpochState* gs, const TableGroup& group);
 
   AetsOptions options_;
 

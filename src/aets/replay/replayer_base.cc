@@ -143,9 +143,10 @@ void ReplayerBase::CommitItem(PipelineItem item) {
     if (commit_hook_) commit_hook_(item.epoch);
     const ShippedEpoch& epoch = item.epoch;
     const bool heartbeat = epoch.is_heartbeat();
-    if (!heartbeat) CommitEpoch(epoch, std::move(item.prepared));
-    // A failed epoch publishes nothing and announces nothing.
-    if (!HasError()) {
+    // A failed epoch publishes nothing and announces nothing. The epoch's
+    // own report decides, not the latch: a later epoch's prepare may trip
+    // it after this one fully installed.
+    if (heartbeat || CommitEpoch(epoch, std::move(item.prepared))) {
       // A heartbeat rides the queue behind every data epoch shipped before
       // it, so all data older than its timestamp is installed. A clean data
       // epoch is installed up to its header max_commit_ts — for a sharded

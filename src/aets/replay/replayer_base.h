@@ -127,16 +127,20 @@ class ReplayerBase : public Replayer {
 
   /// Phase B of one data epoch: version install and watermark publication.
   /// Runs on the commit context (the commit thread when pipeline_depth > 1,
-  /// inline otherwise), strictly in epoch order, one epoch at a time. On
-  /// failure, latch with SetError() — the base then skips the per-epoch
-  /// stats/metrics and stops applying.
-  virtual void CommitEpoch(const ShippedEpoch& epoch,
+  /// inline otherwise), strictly in epoch order, one epoch at a time.
+  /// Returns true iff every transaction of *this* epoch was installed; the
+  /// base publishes and counts the epoch on that report alone, because a
+  /// later epoch's prepare may latch the error while this one commits. On
+  /// failure, latch with SetError() and return false — the base then skips
+  /// the per-epoch stats/metrics and stops applying.
+  virtual bool CommitEpoch(const ShippedEpoch& epoch,
                            std::unique_ptr<PreparedEpoch> prepared) = 0;
 
   /// Post-commit observer, called on the commit context after each
   /// watermark publication with what was published (the heartbeat ts or the
   /// data epoch's max_commit_ts): every version at or below `ts` is
-  /// installed. Never called for a failed epoch or after the latch trips.
+  /// installed. Never called for a failed epoch, nor for an epoch that
+  /// reached the commit context after the latch tripped.
   virtual void OnPublished(Timestamp /*ts*/, bool /*heartbeat*/) {}
 
   /// Raises the global watermark to `ts` (max-guarded, so a sharded

@@ -116,8 +116,8 @@ void LogShipper::OnCommit(TxnLog txn) {
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (finished_) return;
-    last_activity_us_.store(MonotonicMicros(), std::memory_order_relaxed);
-    if (epoch_open_us_ == 0) epoch_open_us_ = MonotonicMicros();
+    last_activity_us_ = MonotonicMicros();
+    if (epoch_open_us_ == 0) epoch_open_us_ = last_activity_us_;
     auto sealed = builder_.AddTxn(std::move(txn));
     if (sealed) ShipLocked(std::move(*sealed));
   }
@@ -126,36 +126,45 @@ void LogShipper::OnCommit(TxnLog txn) {
 
 void LogShipper::StartHeartbeats(std::function<Timestamp()> ts_source,
                                  int64_t interval_us) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (heartbeats_started_ || finished_) return;
-    heartbeats_started_ = true;
-  }
+  std::lock_guard<std::mutex> lk(mu_);
+  if (heartbeats_started_ || stop_heartbeats_ || finished_) return;
+  heartbeats_started_ = true;
   heartbeat_ts_source_ = std::move(ts_source);
   heartbeat_interval_us_ = interval_us;
-  last_activity_us_.store(MonotonicMicros(), std::memory_order_relaxed);
-  stop_heartbeats_.store(false, std::memory_order_relaxed);
+  last_activity_us_ = MonotonicMicros();
   heartbeat_thread_ = std::thread([this] { HeartbeatLoop(); });
 }
 
 void LogShipper::HeartbeatLoop() {
-  while (!stop_heartbeats_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(heartbeat_interval_us_ / 4));
-    int64_t now = MonotonicMicros();
-    if (now - last_activity_us_.load(std::memory_order_relaxed) <
-        heartbeat_interval_us_) {
+  std::unique_lock<std::mutex> lk(mu_);
+  while (!stop_heartbeats_) {
+    // One deadline serves both rules. An open epoch started no later than
+    // the last activity, so its age deadline always comes first; with
+    // nothing open the deadline is the idle one.
+    const bool open = epoch_open_us_ != 0;
+    const int64_t deadline =
+        (open ? epoch_open_us_ : last_activity_us_) + heartbeat_interval_us_;
+    const int64_t now = MonotonicMicros();
+    if (now < deadline) {
+      heartbeat_cv_.wait_for(lk, std::chrono::microseconds(deadline - now));
       continue;
     }
-    // Acquire the heartbeat timestamp before taking the shipper lock: the
-    // source holds the primary's commit mutex, so locking it under mu_
-    // while a committing transaction waits to deliver into OnCommit would
-    // invert the lock order. Everything committed below hb_ts has already
-    // been sunk when the source returns, and the flush below ships it.
-    Timestamp hb_ts = heartbeat_ts_source_();
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (finished_) return;
+    if (open) {
+      // Age deadline: seal what is open. No heartbeat timestamp is needed,
+      // the epoch carries its own max_commit_ts.
+      auto sealed = builder_.Flush();
+      if (sealed) ShipLocked(std::move(*sealed));
+    } else {
+      // Idle deadline. Acquire the heartbeat timestamp without the shipper
+      // lock: the source holds the primary's commit mutex, so locking it
+      // under mu_ while a committing transaction waits to deliver into
+      // OnCommit would invert the lock order. Everything committed below
+      // hb_ts has already been sunk when the source returns, and the flush
+      // below ships it.
+      lk.unlock();
+      Timestamp hb_ts = heartbeat_ts_source_();
+      lk.lock();
+      if (stop_heartbeats_) return;
       auto sealed = builder_.Flush();
       if (sealed) ShipLocked(std::move(*sealed));
       if (hb_ts != kInvalidTimestamp) {
@@ -164,9 +173,11 @@ void LogShipper::HeartbeatLoop() {
                                        MakeHeartbeatEpoch(id, hb_ts));
         if (DeliverLocked(id, std::move(subs)) > 0) ++heartbeats_;
       }
-      last_activity_us_.store(MonotonicMicros(), std::memory_order_relaxed);
+      last_activity_us_ = MonotonicMicros();
     }
+    lk.unlock();
     FirePendingTriggers();
+    lk.lock();
   }
 }
 
@@ -189,16 +200,18 @@ void LogShipper::ShipHeartbeat(Timestamp ts) {
     EpochId id = builder_.ConsumeEpochId();
     std::vector<ShippedEpoch> subs(lanes_.size(), MakeHeartbeatEpoch(id, ts));
     if (DeliverLocked(id, std::move(subs)) > 0) ++heartbeats_;
-    last_activity_us_.store(MonotonicMicros(), std::memory_order_relaxed);
+    last_activity_us_ = MonotonicMicros();
   }
   FirePendingTriggers();
 }
 
 void LogShipper::Finish() {
-  if (heartbeat_thread_.joinable()) {
-    stop_heartbeats_.store(true, std::memory_order_relaxed);
-    heartbeat_thread_.join();
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    stop_heartbeats_ = true;
   }
+  heartbeat_cv_.notify_all();
+  if (heartbeat_thread_.joinable()) heartbeat_thread_.join();
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (finished_) return;

@@ -1,7 +1,7 @@
 #ifndef AETS_REPLICATION_LOG_SHIPPER_H_
 #define AETS_REPLICATION_LOG_SHIPPER_H_
 
-#include <atomic>
+#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -21,14 +21,19 @@
 
 namespace aets {
 
-/// Batches the primary's committed transactions into fixed-size epochs,
-/// encodes each sealed epoch, and fans it out to every attached backup
-/// channel (paper Section III-B: epochs are sealed on transaction
-/// boundaries, sized by transaction count, and shipped in commit order).
+/// Batches the primary's committed transactions into epochs, encodes each
+/// sealed epoch, and fans it out to every attached backup channel (paper
+/// Section III-B: epochs are sealed on transaction boundaries and shipped in
+/// commit order).
 ///
-/// When the primary goes idle, an optional heartbeat thread first flushes
-/// the partial epoch and then ships heartbeat epochs so the backups'
-/// global_cmt_ts keeps advancing (paper Section V-B, 50 ms default).
+/// Sealing rule: an epoch is sealed once it holds `epoch_size` transactions
+/// or, while heartbeats run, once it has been open for the heartbeat
+/// interval — whichever comes first. So an epoch never waits longer than one
+/// interval to fill (SiloR-style time-bounded epochs). When nothing is open
+/// and no commit or heartbeat happened for an interval, the heartbeat
+/// thread ships a heartbeat epoch so the backups' global_cmt_ts keeps
+/// advancing (paper Section V-B, 50 ms default). Without StartHeartbeats
+/// sealing is size-only plus explicit FlushEpoch/ShipHeartbeat calls.
 ///
 /// Sharded replication (DESIGN.md §11): with a ShardMap installed the
 /// shipper routes every sealed epoch through N per-shard lanes. Each lane
@@ -131,9 +136,12 @@ class LogShipper : public EpochSource {
   /// Commit-sink entry point: call in primary commit order.
   void OnCommit(TxnLog txn);
 
-  /// Starts the idle-detection heartbeat thread. `ts_source` must return a
-  /// timestamp below every future commit and above every already-sunk commit
-  /// (PrimaryDb::AcquireHeartbeatTs). Called without the shipper lock held.
+  /// Starts the heartbeat thread, the shipper's one epoch timer: it seals the
+  /// open epoch once it is `interval_us` old, and ships a heartbeat once
+  /// nothing is open and no commit or heartbeat happened for `interval_us`.
+  /// `ts_source` must return a timestamp below every future commit and above
+  /// every already-sunk commit (PrimaryDb::AcquireHeartbeatTs). Called
+  /// without the shipper lock held.
   /// Idempotent: only the first call starts a thread (a second call used to
   /// overwrite `heartbeat_thread_` without joining, i.e. std::terminate);
   /// calls after Finish() are ignored.
@@ -325,11 +333,16 @@ class LogShipper : public EpochSource {
   Histogram* batch_latency_us_metric_;
   int64_t epoch_open_us_ = 0;  // first OnCommit of the open epoch; 0 = none
 
-  std::atomic<int64_t> last_activity_us_{0};
-  std::atomic<bool> stop_heartbeats_{false};
-  bool heartbeats_started_ = false;  // guarded by mu_
+  /// Heartbeat timer state, guarded by mu_. The timer sleeps on
+  /// `heartbeat_cv_` until the open epoch's age deadline or the idle
+  /// deadline; only Finish() notifies it, because OnCommit can only move
+  /// the deadline later.
+  int64_t last_activity_us_ = 0;  // last commit or heartbeat
+  bool stop_heartbeats_ = false;
+  bool heartbeats_started_ = false;
   int64_t heartbeat_interval_us_ = 50'000;
   std::function<Timestamp()> heartbeat_ts_source_;
+  std::condition_variable heartbeat_cv_;
   std::thread heartbeat_thread_;
 };
 

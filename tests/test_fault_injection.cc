@@ -205,6 +205,69 @@ TEST(ShipperTest, StartHeartbeatsIsIdempotent) {
   EXPECT_GE(shipper.heartbeats_shipped(), 1u);
 }
 
+TEST(ShipperTest, BusyEpochIsSealedByAgeWithoutHeartbeats) {
+  // A committer that never idles and never fills an epoch: only the age rule
+  // can seal. With epoch_size 1000 and at most 999 commits, every epoch that
+  // reaches the channel before Finish() was sealed by the timer.
+  constexpr int64_t kIntervalUs = 5'000;
+  std::unique_ptr<Catalog> catalog(MakeCatalog(1));
+  LogicalClock clock;
+  PrimaryDb db(catalog.get(), &clock);
+  LogShipper shipper(/*epoch_size=*/1000);
+  EpochChannel channel(0);
+  shipper.AttachChannel(&channel);
+  db.SetCommitSink([&](TxnLog txn) { shipper.OnCommit(std::move(txn)); });
+
+  // An idle heartbeat is legal whenever the host stalls the committer for a
+  // whole interval, so each heartbeat must be covered by such a gap: the
+  // bound is sum(gap / interval) over the gaps between the start of one
+  // shipper activity and the end of the next. On an idle host it is 0.
+  uint64_t stall_allowance = 0;
+  int64_t prev_begin = MonotonicMicros();
+  shipper.StartHeartbeats([&db] { return db.AcquireHeartbeatTs(); },
+                          kIntervalUs);
+  const int64_t deadline = MonotonicMicros() + 10'000'000;
+  int committed = 0;
+  while (committed < 999 && MonotonicMicros() < deadline &&
+         (committed < 300 || shipper.epochs_shipped() == 0)) {
+    const int64_t begin = MonotonicMicros();
+    PrimaryTxn txn = db.Begin();
+    txn.Insert(0, committed, {{0, Value(int64_t{committed})}});
+    ASSERT_TRUE(db.Commit(std::move(txn)).ok());
+    ++committed;
+    stall_allowance += (MonotonicMicros() - prev_begin) / kIntervalUs;
+    prev_begin = begin;
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  }
+  const uint64_t heartbeats = shipper.heartbeats_shipped();
+  stall_allowance += (MonotonicMicros() - prev_begin) / kIntervalUs;
+
+  int age_sealed = 0;
+  while (auto epoch = channel.TryReceive()) {
+    if (!epoch->is_heartbeat() && epoch->num_txns < 1000) ++age_sealed;
+  }
+  EXPECT_GE(age_sealed, 1) << committed << " commits";
+  EXPECT_LE(heartbeats, stall_allowance);
+  shipper.Finish();
+  EXPECT_EQ(shipper.epochs_produced(),
+            shipper.epochs_shipped() + shipper.epochs_dropped());
+}
+
+TEST(ShipperTest, FinishDoesNotSleepOutTheHeartbeatInterval) {
+  LogShipper shipper(/*epoch_size=*/4);
+  EpochChannel channel(0);
+  shipper.AttachChannel(&channel);
+  shipper.StartHeartbeats([] { return Timestamp{1}; },
+                          /*interval_us=*/10'000'000);
+  // Let the timer park first; passing does not depend on this nap, but
+  // without it Finish() can beat the thread to its first wait.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const int64_t start = MonotonicMicros();
+  shipper.Finish();
+  EXPECT_LT(MonotonicMicros() - start, 1'000'000);
+  EXPECT_EQ(shipper.heartbeats_shipped(), 0u);
+}
+
 TEST(ShipperTest, ClosedChannelSendsAreCountedNotShipped) {
   // Channel outlives the shipper: ~LogShipper closes attached channels.
   EpochChannel channel(4);

@@ -22,6 +22,7 @@
 #include "aets/net/frame_io.h"
 #include "aets/net/query_server.h"
 #include "aets/net/socket.h"
+#include "aets/obs/metrics.h"
 #include "aets/replay/aets_replayer.h"
 #include "aets/primary/primary_db.h"
 #include "aets/replay/snapshot_coordinator.h"
@@ -314,10 +315,21 @@ TEST(QueryServerTest, SlowReadersCannotStallReplayOrShipping) {
 
   // Two connections that never send (or read) anything: they pin BOTH
   // session threads until the idle deadline evicts them.
+  obs::Gauge* active_sessions = obs::GetGauge("net.active_sessions");
+  const int64_t sessions_before = active_sessions->value();
   Result<TcpSocket> slow1 = TcpSocket::Connect("127.0.0.1", server.port(), 1000);
   Result<TcpSocket> slow2 = TcpSocket::Connect("127.0.0.1", server.port(), 1000);
   ASSERT_TRUE(slow1.ok());
   ASSERT_TRUE(slow2.ok());
+  // Until both session threads have popped them, the two sockets fill the
+  // admission queue and the client below would be shed at the door.
+  const auto admitted_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (active_sessions->value() != sessions_before + 2) {
+    ASSERT_LT(std::chrono::steady_clock::now(), admitted_by)
+        << "slow readers never got a session";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   // With every session slot wedged, shipping and replay must still run at
   // full rate — the query tier shares nothing with the replay path.

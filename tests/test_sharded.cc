@@ -549,6 +549,13 @@ TEST(ShardedBackupTest, StalledShardBoundsGlobalSafeTimestamp) {
   ASSERT_TRUE(WaitFor([&] { return backup.shard(1)->GlobalVisibleTs() ==
                                    final_ts; }))
       << "healthy shard never converged";
+  // Shard 0 is parked on the gate once its hook has seen the second commit;
+  // its first epoch has published by then, so the watermark read below is
+  // the one the stall holds.
+  ASSERT_TRUE(WaitFor([&] {
+    std::lock_guard<std::mutex> lk(gate_mu);
+    return commits_seen >= 2;
+  })) << "stalled shard never reached the gate";
   Timestamp stalled_wm = backup.shard(0)->GlobalVisibleTs();
   EXPECT_LT(stalled_wm, final_ts);
 
