@@ -37,7 +37,7 @@ std::unique_ptr<ReplayerBase::PreparedEpoch> AtrReplayer::PrepareEpoch(
   // apply.
   auto prep = std::make_unique<PreparedAtr>();
   prep->payload = epoch.payload;
-  ScopedTimerNs timer(&stats_.dispatch_ns);
+  ScopedCpuTimerNs timer(&stats_.dispatch_ns);
   Status s = WalkEpochPayload<RecordDecode::kMetadata>(
       *epoch.payload, [&prep](const LogRecordView& rec, const TxnFrame& txn,
                               size_t begin, size_t) {

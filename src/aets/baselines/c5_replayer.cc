@@ -51,7 +51,7 @@ std::unique_ptr<ReplayerBase::PreparedEpoch> C5Replayer::PrepareEpoch(
   // previous epoch's apply.
   auto prep = std::make_unique<PreparedC5>();
   prep->queues.resize(static_cast<size_t>(options_.workers));
-  ScopedTimerNs timer(&stats_.dispatch_ns);
+  ScopedCpuTimerNs timer(&stats_.dispatch_ns);
   prep->txn_ts.reserve(epoch.num_txns);
   std::vector<uint32_t> counts;
   counts.reserve(epoch.num_txns);
@@ -95,7 +95,7 @@ bool C5Replayer::CommitEpoch(const ShippedEpoch& /*epoch*/,
   std::vector<std::atomic<uint32_t>>* txn_remaining = &prep->txn_remaining;
   for (int w = 0; w < options_.workers; ++w) {
     bool accepted = pool_->Submit([this, queues, txn_remaining, w] {
-      ScopedTimerNs timer(&stats_.replay_ns);
+      ScopedCpuTimerNs timer(&stats_.replay_ns);
       for (auto& op : (*queues)[static_cast<size_t>(w)]) {
         MemNode* node =
             store_.GetTable(op.table_id)->GetOrCreateNode(op.row_key);

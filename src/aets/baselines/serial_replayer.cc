@@ -20,7 +20,7 @@ std::unique_ptr<ReplayerBase::PreparedEpoch> SerialReplayer::PrepareEpoch(
     const ShippedEpoch& shipped) {
   AETS_TRACE_SPAN("replay.prepare");
   auto prep = std::make_unique<PreparedSerial>();
-  ScopedTimerNs timer(&stats_.dispatch_ns);
+  ScopedCpuTimerNs timer(&stats_.dispatch_ns);
   auto epoch = DecodeEpoch(shipped);
   if (!epoch.ok()) {
     SetError(epoch.status());
@@ -34,7 +34,7 @@ bool SerialReplayer::CommitEpoch(const ShippedEpoch& /*shipped*/,
                                  std::unique_ptr<PreparedEpoch> prepared) {
   auto* prep = static_cast<PreparedSerial*>(prepared.get());
   AETS_TRACE_SPAN("replay.epoch");
-  ScopedTimerNs timer(&stats_.replay_ns);
+  ScopedCpuTimerNs timer(&stats_.replay_ns);
   for (const auto& txn : prep->epoch.txns) {
     for (const auto& rec : txn.records) {
       if (!rec.is_dml()) continue;

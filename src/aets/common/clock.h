@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <ctime>
 
 namespace aets {
 
@@ -97,22 +98,45 @@ inline int64_t MonotonicNanos() {
 
 inline int64_t MonotonicMicros() { return MonotonicNanos() / 1000; }
 
-/// Scoped stopwatch accumulating elapsed nanoseconds into a counter.
-class ScopedTimerNs {
+/// CPU time consumed by the calling thread (CLOCK_THREAD_CPUTIME_ID), in
+/// nanoseconds: time the thread spent preempted, parked or sleeping does not
+/// count, so a phase timed with it measures its work, not the host's load.
+/// Unlike the steady clock this is a syscall, not a vDSO read; time whole
+/// phases with it, not per-record windows. An installed ClockSource
+/// overrides it too, so simulated runs stay a function of the schedule.
+inline int64_t ThreadCpuNanos() {
+  if (const ClockSource* src =
+          internal::g_clock_source.load(std::memory_order_acquire)) {
+    return src->NowNanos();
+  }
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
+
+/// Scoped stopwatch accumulating elapsed nanoseconds of clock `Now` into a
+/// counter.
+template <int64_t (*Now)()>
+class BasicScopedTimerNs {
  public:
-  explicit ScopedTimerNs(std::atomic<int64_t>* sink)
-      : sink_(sink), start_(MonotonicNanos()) {}
-  ~ScopedTimerNs() {
-    sink_->fetch_add(MonotonicNanos() - start_, std::memory_order_relaxed);
+  explicit BasicScopedTimerNs(std::atomic<int64_t>* sink)
+      : sink_(sink), start_(Now()) {}
+  ~BasicScopedTimerNs() {
+    sink_->fetch_add(Now() - start_, std::memory_order_relaxed);
   }
 
-  ScopedTimerNs(const ScopedTimerNs&) = delete;
-  ScopedTimerNs& operator=(const ScopedTimerNs&) = delete;
+  BasicScopedTimerNs(const BasicScopedTimerNs&) = delete;
+  BasicScopedTimerNs& operator=(const BasicScopedTimerNs&) = delete;
 
  private:
   std::atomic<int64_t>* sink_;
   int64_t start_;
 };
+
+/// Wall time (monotonic clock) of a scope.
+using ScopedTimerNs = BasicScopedTimerNs<MonotonicNanos>;
+/// CPU time of the calling thread over a scope (see ThreadCpuNanos).
+using ScopedCpuTimerNs = BasicScopedTimerNs<ThreadCpuNanos>;
 
 }  // namespace aets
 

@@ -220,7 +220,7 @@ std::unique_ptr<ReplayerBase::PreparedEpoch> AetsReplayer::PrepareEpoch(
   prep->gstate = std::vector<GroupEpochState>(grouping.groups.size());
   {
     AETS_TRACE_SPAN("replay.dispatch");
-    ScopedTimerNs timer(&stats_.dispatch_ns);
+    ScopedCpuTimerNs timer(&stats_.dispatch_ns);
     Status s = DispatchEpoch(epoch, grouping, &prep->gstate);
     if (!s.ok()) {
       SetError(std::move(s));
@@ -404,7 +404,7 @@ void AetsReplayer::TranslateGroup(const std::string& payload,
   // Memtable locks are taken — cells only pin their target nodes. The
   // zero-copy decode validates each frame once; the packed delta is the
   // only allocation per record.
-  ScopedTimerNs timer(&stats_.replay_ns);
+  ScopedCpuTimerNs timer(&stats_.replay_ns);
   for (;;) {
     if (HasError()) return;  // stop claiming; committers bail on the latch
     size_t idx = gs->next_claim.fetch_add(1, std::memory_order_relaxed);
@@ -438,30 +438,38 @@ void AetsReplayer::TranslateGroup(const std::string& payload,
 bool AetsReplayer::CommitGroup(GroupEpochState* gs, const TableGroup& group) {
   // TPLR phase 2 (Algorithms 1-2): walk the group's commit order; for each
   // transaction wait until phase 1 finished it, then append its cells to the
-  // version lists and publish tg_cmt_ts.
+  // version lists and publish tg_cmt_ts. Commit time is this thread's CPU
+  // time in here less the CPU burnt waiting on phase 1: the thread clock is
+  // read per group and per wait, never per fragment.
+  const int64_t cpu_start = ThreadCpuNanos();
+  int64_t wait_cpu_ns = 0;
+  bool installed = true;
   for (auto& frag_ptr : gs->fragments) {
     Fragment* frag = frag_ptr.get();
     // waiting_commit_list check: spin briefly, then yield the core to the
     // translate workers (see SpinBackoff for why not a futex park). On
     // error, unclaimed fragments never flip `translated`, so the latch is
     // the exit.
-    SpinBackoff backoff;
-    while (!frag->translated.load(std::memory_order_acquire)) {
-      if (HasError()) return false;
-      backoff.Pause();
+    if (!frag->translated.load(std::memory_order_acquire)) {
+      const int64_t wait_start = ThreadCpuNanos();
+      SpinBackoff backoff;
+      while (!frag->translated.load(std::memory_order_acquire) &&
+             !HasError()) {
+        backoff.Pause();
+      }
+      if (backoff.waited()) commit_spin_waits_metric_->Add(1);
+      wait_cpu_ns += ThreadCpuNanos() - wait_start;
     }
-    if (backoff.waited()) commit_spin_waits_metric_->Add(1);
     // A poisoned fragment holds a partial transaction; installing it would
     // corrupt the backup. Freeze this group's watermark at the last fully
     // committed transaction instead.
-    if (frag->poisoned.load(std::memory_order_acquire) || HasError()) {
-      return false;
+    if (!frag->translated.load(std::memory_order_acquire) ||
+        frag->poisoned.load(std::memory_order_acquire) || HasError()) {
+      installed = false;
+      break;
     }
-    {
-      ScopedTimerNs timer(&stats_.commit_ns);
-      for (auto& pc : frag->cells) {
-        pc.node->AppendVersion(std::move(pc.cell));
-      }
+    for (auto& pc : frag->cells) {
+      pc.node->AppendVersion(std::move(pc.cell));
     }
     // Feed the column store BEFORE the watermark store below: a reader that
     // observes tg_cmt_ts >= frag->commit_ts must also observe these keys in
@@ -474,7 +482,9 @@ bool AetsReplayer::CommitGroup(GroupEpochState* gs, const TableGroup& group) {
       StoreMaxTimestamp(table_ts_[t], frag->commit_ts + options_.test_tg_publish_skew);
     }
   }
-  return true;
+  stats_.commit_ns.fetch_add(ThreadCpuNanos() - cpu_start - wait_cpu_ns,
+                             std::memory_order_relaxed);
+  return installed;
 }
 
 }  // namespace aets

@@ -20,6 +20,15 @@ struct ReplayStats {
   std::atomic<uint64_t> txns{0};
   std::atomic<uint64_t> records{0};
   std::atomic<uint64_t> bytes{0};
+  /// Phase times. `dispatch_ns` (one window per epoch) and `replay_ns` (one
+  /// window per worker task) are thread CPU time (ThreadCpuNanos), so a
+  /// thread preempted on a loaded host does not count the wait as phase
+  /// work — except ATR's `replay_ns`, which stays wall time because it
+  /// contains the `sync_wait_ns` spins reported as a share of it. AETS's
+  /// `commit_ns` is CPU time too, read once per group commit and around each
+  /// wait on phase 1 (left out), never per fragment; the baselines time
+  /// `commit_ns` per transaction on the wall clock, where a CPU-clock read
+  /// would add a syscall per transaction.
   std::atomic<int64_t> dispatch_ns{0};
   std::atomic<int64_t> replay_ns{0};
   std::atomic<int64_t> commit_ns{0};

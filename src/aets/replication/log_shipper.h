@@ -32,8 +32,20 @@ namespace aets {
 /// interval to fill (SiloR-style time-bounded epochs). When nothing is open
 /// and no commit or heartbeat happened for an interval, the heartbeat
 /// thread ships a heartbeat epoch so the backups' global_cmt_ts keeps
-/// advancing (paper Section V-B, 50 ms default). Without StartHeartbeats
-/// sealing is size-only plus explicit FlushEpoch/ShipHeartbeat calls.
+/// advancing (paper Section V-B). Without StartHeartbeats sealing is
+/// size-only plus explicit FlushEpoch/ShipHeartbeat calls.
+///
+/// The default interval, kDefaultHeartbeatIntervalUs = 10 ms, deliberately
+/// departs from the paper's 50 ms heartbeat. A live sweep of the bound
+/// (EXPERIMENTS.md, "Freshness bound") shows steady-state visibility delay
+/// falling with the bound, about 5× from 50 ms to 10 ms, because epoch fill
+/// time was most of it; burst epochs still fill to `epoch_size` by size. At
+/// 5 ms and below per-epoch replay overhead shows instead: burst replay
+/// throughput drops and steady-state CPU rises. Costs of the shorter
+/// interval: an idle primary ships 100 heartbeats/s (one durable frame each
+/// on every segment lane), and the 128-epoch NACK retention covers ~1.3 s
+/// of a steady stream instead of ~6.4 s (burst memory is unchanged: burst
+/// epochs still hold `epoch_size` transactions).
 ///
 /// Sharded replication (DESIGN.md §11): with a ShardMap installed the
 /// shipper routes every sealed epoch through N per-shard lanes. Each lane
@@ -57,6 +69,10 @@ namespace aets {
 /// accessor sums its per-lane counter over all shards.
 class LogShipper : public EpochSource {
  public:
+  /// The one freshness bound: the age at which the heartbeat thread seals
+  /// an open epoch, and the idle gap after which it ships a heartbeat.
+  static constexpr int64_t kDefaultHeartbeatIntervalUs = 10'000;
+
   /// Invoked (outside the shipper lock) when a lane's segment store first
   /// exceeds its disk_budget_bytes: `shard` is the over-budget lane,
   /// `next_epoch_id` the id the next epoch will carry, `disk_bytes` the
@@ -146,7 +162,7 @@ class LogShipper : public EpochSource {
   /// overwrite `heartbeat_thread_` without joining, i.e. std::terminate);
   /// calls after Finish() are ignored.
   void StartHeartbeats(std::function<Timestamp()> ts_source,
-                       int64_t interval_us = 50'000);
+                       int64_t interval_us = kDefaultHeartbeatIntervalUs);
 
   /// Seals and ships the currently open partial epoch, if any. The
   /// deterministic simulation harness uses this to place epoch boundaries
@@ -340,7 +356,7 @@ class LogShipper : public EpochSource {
   int64_t last_activity_us_ = 0;  // last commit or heartbeat
   bool stop_heartbeats_ = false;
   bool heartbeats_started_ = false;
-  int64_t heartbeat_interval_us_ = 50'000;
+  int64_t heartbeat_interval_us_ = kDefaultHeartbeatIntervalUs;
   std::function<Timestamp()> heartbeat_ts_source_;
   std::condition_variable heartbeat_cv_;
   std::thread heartbeat_thread_;

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -266,6 +267,47 @@ TEST(ShipperTest, FinishDoesNotSleepOutTheHeartbeatInterval) {
   shipper.Finish();
   EXPECT_LT(MonotonicMicros() - start, 1'000'000);
   EXPECT_EQ(shipper.heartbeats_shipped(), 0u);
+}
+
+TEST(ShipperTest, DefaultIntervalBoundsCommitToArrival) {
+  // One commit at a time into an otherwise idle stream never fills an
+  // epoch, so only the default age bound ships it. The median over the
+  // trials, not the max, so a host that deschedules the heartbeat thread
+  // for one trial cannot fail the test.
+  constexpr int kTrials = 21;
+  std::unique_ptr<Catalog> catalog(MakeCatalog(1));
+  LogicalClock clock;
+  PrimaryDb db(catalog.get(), &clock);
+  LogShipper shipper(/*epoch_size=*/256);
+  EpochChannel channel(0);
+  shipper.AttachChannel(&channel);
+  db.SetCommitSink([&](TxnLog txn) { shipper.OnCommit(std::move(txn)); });
+  shipper.StartHeartbeats([&db] { return db.AcquireHeartbeatTs(); });
+
+  std::vector<int64_t> latencies_us;
+  for (int i = 0; i < kTrials; ++i) {
+    PrimaryTxn txn = db.Begin();
+    txn.Insert(0, i, {{0, Value(int64_t{i})}});
+    const int64_t committed_us = MonotonicMicros();
+    ASSERT_TRUE(db.Commit(std::move(txn)).ok());
+    // Bounded wait for the data epoch; idle heartbeats are skipped.
+    const int64_t deadline = committed_us + 10'000'000;
+    bool arrived = false;
+    while (!arrived && MonotonicMicros() < deadline) {
+      if (auto epoch = channel.TryReceive()) {
+        arrived = !epoch->is_heartbeat();
+      } else {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+    ASSERT_TRUE(arrived) << "trial " << i;
+    latencies_us.push_back(MonotonicMicros() - committed_us);
+  }
+  shipper.Finish();
+
+  std::sort(latencies_us.begin(), latencies_us.end());
+  const int64_t median_us = latencies_us[kTrials / 2];
+  EXPECT_LT(median_us, 30'000);
 }
 
 TEST(ShipperTest, ClosedChannelSendsAreCountedNotShipped) {
